@@ -3,7 +3,7 @@ linear models, for non-linear binary classification."""
 
 from .agents import ContextAgent, EngineConfig, Normalization, PerceptTracker
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, load_csv, save_csv, standardize
-from .engine import CycleReport, Engine, NcsEvent, NcsKind, Resolution, select_winner
+from .engine import CycleReport, Engine, NcsEvent, NcsKind, Resolution
 from .geometry import Hypercube
 from .linear import LinearModelConfig, ModelKind, OnlineLinearModel, Penalty
 
@@ -30,7 +30,6 @@ __all__ = [
     "gen_moons",
     "load_csv",
     "save_csv",
-    "select_winner",
     "standardize",
     "__version__",
 ]

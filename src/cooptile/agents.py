@@ -87,7 +87,7 @@ class EngineConfig:
         return cls(**d)
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextAgent:
     """Hypercube region + local model + feedback-driven confidence."""
 
@@ -99,9 +99,7 @@ class ContextAgent:
     alive: bool = True
 
     def score(self, cfg: EngineConfig) -> float:
-        """Normalized confidence in (0, 1); 0.5 for a fresh agent."""
-        if cfg.normalization is not Normalization.SIGMOID:  # pragma: no cover
-            raise ValueError(f"unknown normalization {cfg.normalization!r}")
+        """Sigmoid of the confidence, in (0, 1); 0.5 for a fresh agent."""
         return _sigmoid(self.confidence)
 
     def propose(self, x) -> int:

@@ -46,7 +46,6 @@ def gen_data(dataset, n, noise, factor, seed, do_standardize, out):
 @main.command("fit-linear")
 @click.option("--data", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--kind", type=_KIND_CHOICE, required=True)
-@click.option("--grid", default="default", show_default=True, help="Grid name (only 'default').")
 @click.option("--cv", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--epochs", default=100, show_default=True)
@@ -55,10 +54,8 @@ def gen_data(dataset, n, noise, factor, seed, do_standardize, out):
               help="Also save the best model refit on the full data.")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
               help="JSON-lines grid progress log.")
-def fit_linear(data, kind, grid, cv, seed, epochs, out, model_out, trace):
+def fit_linear(data, kind, cv, seed, epochs, out, model_out, trace):
     """Step 1: cross-validated grid search for one bare linear classifier."""
-    if grid != "default":
-        raise click.BadParameter("only the 'default' grid is available")
     ds = datasets.load_csv(data)
     record = bench.grid_search_linear(ds, ModelKind(kind), n_folds=cv, cv_seed=seed,
                                       fit_seed=seed, epochs=epochs)

@@ -1,11 +1,19 @@
 """Supervisory loop coordinating the tiling agents.
 
-The engine runs in two modes. During *exploration*, each labeled
-observation drives one cycle: the agents whose regions contain the point
-propose a class, the highest-scoring proposal becomes the system
-prediction, every proposer receives feedback, and geometric arbitration
-then removes friction between the proposers. Three situations trigger
-rearrangement:
+One decision rule classifies a point, in both modes. The agents whose
+regions contain it (closed bounds) are *activated*; each proposes the
+class of its linear model (``w . x + b >= 0`` says class 1). The
+activated agents whose scores lie within ``SCORE_TIE_TOL`` of the top
+score tie and vote, an even vote going to class 0; the answering agent is
+the lowest-id tied agent proposing the chosen class. An uncovered point
+goes to the nearest agent (Euclidean distance to its box, ties to the
+lowest id), which answers with its own proposal. ``Engine._decide``
+applies the rule to a block of rows at once.
+
+During *exploration*, each labeled observation drives one cycle: the rule
+gives the system prediction, every activated agent receives feedback on
+its proposal, and geometric arbitration then removes friction between
+them. Three situations trigger rearrangement:
 
 * *incompetence* — no region contains the point: a new agent is created
   around it (half-width ``init_radius``) and immediately arbitrated
@@ -17,12 +25,13 @@ rearrangement:
   the other off, so disagreeing proposers never keep overlapping regions.
 
 A push that cannot separate the two boxes with a single cut turns into an
-absorption. During *exploitation* nothing mutates: the winning activated
-agent answers, or the nearest agent (boundary distance, ties to the
-lowest id) when the point is uncovered.
+absorption. During *exploitation* nothing mutates: the rule's answer is
+returned, with the nearest agent standing in for an uncovered point.
 
-Cycles, arbitration order, and tie-breaks are all deterministic, so a
-given (config, data, seed) always reproduces the same agent population.
+Every entry point rejects a non-finite value or a wrong dimension before
+any state changes. Cycles, arbitration order, and tie-breaks are all
+deterministic, so a given (config, data, seed) always reproduces the same
+agent population.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ from .linear import LinearModelConfig
 
 #: Maximal score difference still treated as a tie in winner selection.
 SCORE_TIE_TOL = 1e-12
+
+#: Rows ``Engine._decide`` handles at once; bounds its (rows, agents, dim) temporaries.
+DECIDE_BLOCK_ROWS = 1024
 
 CLASS_UNIVERSE = (0, 1)
 
@@ -98,37 +110,6 @@ class CycleReport:
         }
 
 
-def select_winner(
-    activated: Sequence[ContextAgent],
-    x,
-    cfg: EngineConfig,
-    proposals: dict[int, int] | None = None,
-) -> tuple[ContextAgent, int]:
-    """Pick the proposal of the highest-scoring activated agent.
-
-    Agents whose scores lie within ``SCORE_TIE_TOL`` of the maximum tie;
-    the tied agents then vote and the majority class wins, with a
-    remaining tie going to the smallest class label. The reported winner
-    is the lowest-id tied agent proposing the chosen class.
-    """
-    if not activated:
-        raise ValueError("select_winner needs at least one activated agent")
-    if proposals is None:
-        proposals = {a.id: a.propose(x) for a in activated}
-    scores = {a.id: a.score(cfg) for a in activated}
-    top = max(scores.values())
-    tied = [a for a in activated if scores[a.id] >= top - SCORE_TIE_TOL]
-    if len(tied) == 1:
-        return tied[0], proposals[tied[0].id]
-    votes: dict[int, int] = {}
-    for a in tied:
-        votes[proposals[a.id]] = votes.get(proposals[a.id], 0) + 1
-    best_count = max(votes.values())
-    prediction = min(c for c, n in votes.items() if n == best_count)
-    winner = min((a for a in tied if proposals[a.id] == prediction), key=lambda a: a.id)
-    return winner, prediction
-
-
 class Engine:
     """Owns the agent population and executes the cycle loop.
 
@@ -143,43 +124,43 @@ class Engine:
         self.agents: list[ContextAgent] = []  # alive agents, ascending id
         self.percepts = PerceptTracker()
         self.cycle = 0
-        self.class_universe = CLASS_UNIVERSE
         self._next_id = 0
 
     # -- exploration ---------------------------------------------------
 
     def explore_step(self, x, y: int) -> CycleReport:
         """Process one labeled observation and adapt the tiling."""
-        x = np.asarray(x, dtype=float)
+        x = self._checked(x, ndim=1)
+        if y not in CLASS_UNIVERSE:
+            raise ValueError(f"label {y!r} outside class universe {CLASS_UNIVERSE}")
         if self.dim is None:
             self.dim = x.size
-        if y not in self.class_universe:
-            raise ValueError(f"label {y!r} outside class universe {self.class_universe}")
         self.percepts.update(x)
         events: list[NcsEvent] = []
-        activated = [a for a in self.agents if a.region.contains(x)]
+        activated: list[ContextAgent] = []
+        if self.agents:
+            labels, winners, inside, votes = self._decide(x[None, :])
+            activated = [a for a, on in zip(self.agents, inside[0]) if on]
         if not activated:
             _, prediction = self._resolve_incompetence(x, y, events)
             winner_id = None
-            activated_ids: list[int] = []
         else:
-            activated_ids = [a.id for a in activated]
-            proposals = {a.id: a.propose(x) for a in activated}
-            winner, prediction = select_winner(activated, x, self.cfg, proposals)
-            winner_id = winner.id
+            proposals = {a.id: int(v) for a, v, on in zip(self.agents, votes[0], inside[0]) if on}
+            winner_id = self.agents[winners[0]].id
+            prediction = int(labels[0])
             for a in activated:
                 a.apply_feedback(proposals[a.id] == y, x, int(y), self.cfg)
             self._resolve_pairs(list(combinations(activated, 2)), proposals, events)
-        report = CycleReport(self.cycle, activated_ids, winner_id, prediction, events)
+        report = CycleReport(self.cycle, [a.id for a in activated], winner_id, prediction, events)
         self.cycle += 1
         self.agents = [a for a in self.agents if a.alive]
         return report
 
     def train(self, X, Y, trace: IO | None = None) -> "Engine":
         """Run the configured number of shuffled exploration passes."""
-        X = np.asarray(X, dtype=float)
+        X = self._checked(X, ndim=2)
         Y = np.asarray(Y)
-        if X.ndim != 2 or X.shape[0] == 0:
+        if X.shape[0] == 0:
             raise ValueError("X must be a non-empty 2-d matrix")
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y row counts differ")
@@ -194,7 +175,7 @@ class Engine:
     def resolve_incompetence(self, x, y: int) -> tuple[ContextAgent, list[NcsEvent]]:
         """Create an agent around an uncovered point and arbitrate overlaps."""
         events: list[NcsEvent] = []
-        x = np.asarray(x, dtype=float)
+        x = self._checked(x, ndim=1)
         if self.dim is None:
             self.dim = x.size
         created, _ = self._resolve_incompetence(x, y, events)
@@ -281,68 +262,78 @@ class Engine:
 
     def exploit_step(self, x) -> CycleReport:
         """Classify one point without mutating any agent."""
-        if not self.agents:
-            raise RuntimeError("engine has no agents; train before predicting")
-        x = np.asarray(x, dtype=float)
-        activated = [a for a in self.agents if a.region.contains(x)]
-        if activated:
-            winner, prediction = select_winner(activated, x, self.cfg)
-            return CycleReport(self.cycle, [a.id for a in activated], winner.id, prediction)
-        nearest = min(self.agents, key=lambda a: (a.region.distance_to(x), a.id))
-        prediction = nearest.propose(x)
-        event = NcsEvent(NcsKind.INCOMPETENCE, (nearest.id,), Resolution.NEAREST)
-        return CycleReport(self.cycle, [], nearest.id, prediction, [event])
+        x = self._checked(x, ndim=1)
+        labels, winners, inside, _ = self._decide(x[None, :])
+        winner_id = self.agents[winners[0]].id
+        activated_ids = [a.id for a, on in zip(self.agents, inside[0]) if on]
+        if activated_ids:
+            return CycleReport(self.cycle, activated_ids, winner_id, int(labels[0]))
+        event = NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)
+        return CycleReport(self.cycle, [], winner_id, int(labels[0]), [event])
 
     def predict(self, x) -> int:
         return self.exploit_step(x).prediction
 
     def predict_batch(self, X) -> np.ndarray:
-        """Vectorized exploitation over rows of ``X``.
+        """Exploitation over the rows of ``X``: row for row, ``exploit_step(x).prediction``.
 
-        Row for row this returns exactly ``exploit_step(x).prediction``;
-        the common cases (unique top score, nearest fallback) are batched,
-        score ties fall back to the exact per-point path.
+        Both go through ``_decide``, so covered, score-tied and uncovered
+        rows all follow the one decision rule.
+        """
+        return self._decide(self._checked(X, ndim=2))[0]
+
+    def _decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the decision rule to every row of a checked ``(rows, dim)`` matrix.
+
+        Returns the class of each row, the index into ``self.agents`` of
+        the agent answering it, and the ``(rows, agents)`` masks of
+        activation and of class-1 proposals. Agents are kept in ascending
+        id order, so the first index of a tie is the lowest id.
         """
         if not self.agents:
             raise RuntimeError("engine has no agents; train before predicting")
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-d matrix")
-        n = X.shape[0]
-        out = np.empty(n, dtype=int)
-        lowers = np.array([a.region.lower for a in self.agents])
-        uppers = np.array([a.region.upper for a in self.agents])
+        lower = np.array([a.region.lower for a in self.agents])
+        upper = np.array([a.region.upper for a in self.agents])
         scores = np.array([a.score(self.cfg) for a in self.agents])
-        inside = np.all((X[:, None, :] >= lowers[None]) & (X[:, None, :] <= uppers[None]), axis=2)
-        covered = inside.any(axis=1)
-        masked = np.where(inside, scores[None, :], -np.inf)
-        top = masked.max(axis=1)
-        tie_count = (masked >= top[:, None] - SCORE_TIE_TOL).sum(axis=1)
-        unique_top = covered & (tie_count == 1)
-        winner_idx = masked.argmax(axis=1)
-        for k, agent in enumerate(self.agents):
-            rows = unique_top & (winner_idx == k)
-            if rows.any():
-                out[rows] = agent.model.predict_batch(X[rows])
-        for i in np.nonzero(covered & (tie_count > 1))[0]:
-            out[i] = self.exploit_step(X[i]).prediction
-        uncovered = ~covered
-        if uncovered.any():
-            Xu = X[uncovered]
-            dist = np.empty((Xu.shape[0], len(self.agents)))
-            for k in range(len(self.agents)):
-                gap = np.maximum(
-                    np.maximum(lowers[k][None, :] - Xu, Xu - uppers[k][None, :]), 0.0
-                )
-                dist[:, k] = (gap * gap).sum(axis=1)
-            nearest_idx = dist.argmin(axis=1)  # first minimum = lowest id
-            sub = np.empty(Xu.shape[0], dtype=int)
-            for k, agent in enumerate(self.agents):
-                rows = nearest_idx == k
-                if rows.any():
-                    sub[rows] = agent.model.predict_batch(Xu[rows])
-            out[uncovered] = sub
-        return out
+        weights = np.array([a.model.weights for a in self.agents])
+        bias = np.array([a.model.bias for a in self.agents])
+        n, m = X.shape[0], len(self.agents)
+        labels = np.empty(n, dtype=int)
+        winners = np.empty(n, dtype=int)
+        inside = np.empty((n, m), dtype=bool)
+        votes = np.empty((n, m), dtype=bool)
+        for start in range(0, n, DECIDE_BLOCK_ROWS):
+            block = slice(start, start + DECIDE_BLOCK_ROWS)
+            rows = X[block, None, :]
+            ins, vote = inside[block], votes[block]
+            np.all((rows >= lower) & (rows <= upper), axis=2, out=ins)
+            np.greater_equal(X[block] @ weights.T + bias, 0.0, out=vote)
+            # on a covered row an agent that is not activated scores -inf, so never ties
+            masked = np.where(ins, scores, -np.inf)
+            tied = masked >= masked.max(axis=1, keepdims=True) - SCORE_TIE_TOL
+            label = 2 * np.sum(vote, axis=1, where=tied) > np.sum(tied, axis=1)  # even vote: class 0
+            winner = np.argmax(tied & (vote == label[:, None]), axis=1)
+            out = np.flatnonzero(~ins.any(axis=1))
+            if out.size:
+                gap = np.maximum(np.maximum(lower - rows[out], rows[out] - upper), 0.0)
+                # hypot keeps tiny gaps from underflowing the way squaring them would
+                winner[out] = np.argmin(np.hypot.reduce(gap, axis=2), axis=1)
+                label[out] = vote[out, winner[out]]
+            labels[block] = label
+            winners[block] = winner
+        return labels, winners, inside, votes
+
+    def _checked(self, X, ndim: int) -> np.ndarray:
+        """``X`` as a float array after checking its shape and that every value is finite."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != ndim:
+            expected = "a 1-d point" if ndim == 1 else "a 2-d matrix"
+            raise ValueError(f"expected {expected}, got an array of shape {X.shape}")
+        if self.dim is not None and X.shape[-1] != self.dim:
+            raise ValueError(f"points have dimension {X.shape[-1]}, engine has {self.dim}")
+        if not np.isfinite(X).all():
+            raise ValueError("input holds a non-finite value (nan or inf)")
+        return X
 
     # -- persistence -----------------------------------------------------
 

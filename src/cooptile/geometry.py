@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypercube:
     """Box ``[lower[j], upper[j]]`` per axis, with ``lower[j] < upper[j]``."""
 
@@ -199,7 +199,8 @@ class Hypercube:
         """Euclidean distance from ``x`` to the box; 0 iff the point is inside."""
         x = self._check_point(x)
         outside = np.maximum(np.maximum(self.lower - x, x - self.upper), 0.0)
-        return float(np.sqrt(np.sum(outside * outside)))
+        # hypot, not the root of summed squares: a tiny gap must not underflow to 0
+        return float(np.hypot.reduce(outside))
 
     def to_dict(self) -> dict:
         return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}

@@ -113,6 +113,8 @@ class OnlineLinearModel:
     instances are fully independent.
     """
 
+    __slots__ = ("config", "weights", "bias", "step_count")
+
     def __init__(self, config: LinearModelConfig, dim: int):
         if dim < 1:
             raise ValueError("dim must be at least 1")

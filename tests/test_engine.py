@@ -6,10 +6,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptile.agents import ContextAgent, EngineConfig
 from cooptile.datasets import gen_circles, standardize
-from cooptile.engine import Engine, NcsKind, Resolution, select_winner
+from cooptile.engine import DECIDE_BLOCK_ROWS, Engine, NcsKind, Resolution
 from cooptile.geometry import Hypercube
 from cooptile.linear import LinearModelConfig, ModelKind
 
@@ -35,44 +37,67 @@ def inject(engine: Engine, *agents: ContextAgent) -> Engine:
     return engine
 
 
+@st.composite
+def lattice_populations(draw):
+    """Agents with unit-lattice boxes (shared faces and corners) and mostly equal scores."""
+    agents = []
+    for k in range(draw(st.integers(1, 6))):
+        lo = np.array([draw(st.integers(-2, 1)) for _ in range(2)], dtype=float)
+        size = np.array([draw(st.integers(1, 2)) for _ in range(2)], dtype=float)
+        model = PA1.build(2)
+        model.weights = np.array([draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in range(2)])
+        model.bias = draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        confidence = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
+        agents.append(ContextAgent(id=k, region=Hypercube(lo, lo + size), model=model,
+                                   confidence=confidence))
+    return agents
+
+
 class TestSelectWinner:
+    """The decision rule for covered points, driven through ``exploit_step``."""
+
     def test_single_agent_wins(self):
-        cfg = EngineConfig()
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1)
-        winner, prediction = select_winner([a], np.array([0.5, 0.5]), cfg)
-        assert winner is a and prediction == 1
+        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
+        report = engine.exploit_step(np.array([0.5, 0.5]))
+        assert (report.winner_id, report.prediction) == (0, 1)
+        assert report.activated_ids == [0]
 
     def test_strict_argmax(self):
-        cfg = EngineConfig()
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=2.197)  # score ~0.9
-        b = constant_agent(1, [0, 0], [1, 1], proposes=0, confidence=0.847)  # score ~0.7
-        _, prediction = select_winner([a, b], np.array([0.5, 0.5]), cfg)
-        assert prediction == 1
+        engine = inject(
+            make_engine(),
+            constant_agent(0, [0, 0], [1, 1], proposes=0, confidence=0.847),  # score ~0.7
+            constant_agent(1, [0, 0], [1, 1], proposes=1, confidence=2.197),  # score ~0.9
+        )
+        report = engine.exploit_step(np.array([0.5, 0.5]))
+        assert (report.winner_id, report.prediction) == (1, 1)
 
     def test_tie_resolved_by_vote(self):
-        cfg = EngineConfig()
-        agents = [
-            constant_agent(0, [0, 0], [1, 1], proposes=1),
+        engine = inject(
+            make_engine(),
+            constant_agent(0, [0, 0], [1, 1], proposes=0),
             constant_agent(1, [0, 0], [1, 1], proposes=1),
-            constant_agent(2, [0, 0], [1, 1], proposes=0),
-        ]
-        winner, prediction = select_winner(agents, np.array([0.5, 0.5]), cfg)
-        assert prediction == 1
-        assert winner.id == 0  # lowest id among tied agents proposing class 1
+            constant_agent(2, [0, 0], [1, 1], proposes=1),
+        )
+        report = engine.exploit_step(np.array([0.5, 0.5]))
+        assert report.prediction == 1
+        assert report.winner_id == 1  # lowest id among tied agents proposing class 1
 
     def test_vote_tie_prefers_smallest_class(self):
-        cfg = EngineConfig()
-        agents = [
+        engine = inject(
+            make_engine(),
             constant_agent(0, [0, 0], [1, 1], proposes=1),
             constant_agent(1, [0, 0], [1, 1], proposes=0),
-        ]
-        winner, prediction = select_winner(agents, np.array([0.5, 0.5]), cfg)
-        assert prediction == 0
-        assert winner.id == 1
+        )
+        report = engine.exploit_step(np.array([0.5, 0.5]))
+        assert (report.winner_id, report.prediction) == (1, 0)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            select_winner([], np.array([0.5, 0.5]), EngineConfig())
+        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
+        engine.agents.clear()
+        with pytest.raises(RuntimeError):
+            engine.exploit_step(np.array([0.5, 0.5]))
+        with pytest.raises(RuntimeError):
+            engine.predict_batch(np.array([[0.5, 0.5]]))
 
 
 class TestIncompetence:
@@ -315,6 +340,88 @@ class TestExploitation:
         batch = engine.predict_batch(points)
         single = np.array([engine.exploit_step(p).prediction for p in points])
         assert np.array_equal(batch, single)
+
+    def test_nearest_agent_sees_subnormal_gaps(self):
+        # squared, both gaps underflow to 0 and agent 0 would win the distance tie
+        engine = inject(
+            make_engine(),
+            constant_agent(0, [1e-170, 0], [1, 1], proposes=0),
+            constant_agent(1, [-1, 0], [-1e-200, 1], proposes=1),
+        )
+        x = np.array([0.0, 0.5])
+        assert engine.exploit_step(x).winner_id == 1
+        assert engine.predict(x) == 1
+        assert engine.predict_batch(x[None, :]).tolist() == [1]
+
+    def test_zero_rows_give_empty_int_array(self):
+        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
+        out = engine.predict_batch(np.empty((0, 2)))
+        assert out.shape == (0,)
+        assert out.dtype.kind == "i"
+
+    @given(lattice_populations(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_equals_single_points_across_blocks(self, agents, seed):
+        engine = inject(make_engine(), *agents)
+        # quarter-lattice points land on faces and corners, inside and outside
+        X = np.round(np.random.default_rng(seed).uniform(-3.5, 3.5, size=(1500, 2)) * 4) / 4
+        assert X.shape[0] > DECIDE_BLOCK_ROWS
+        single = [engine.exploit_step(x).prediction for x in X]
+        assert engine.predict_batch(X).tolist() == single
+
+
+class TestInputValidation:
+    @staticmethod
+    def trained() -> Engine:
+        X, Y = TestExploreInvariants.train_data(n=20)
+        return Engine(EngineConfig(init_radius=0.3), PA1, dim=2).train(X, Y)
+
+    def test_non_finite_observation_changes_nothing(self):
+        engine = self.trained()
+        mins, maxs = engine.percepts.mins.copy(), engine.percepts.maxs.copy()
+        before = engine.to_json()  # cycle counter and agents
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.explore_step([np.nan, 0.0], 1)
+        assert np.array_equal(engine.percepts.mins, mins)
+        assert np.array_equal(engine.percepts.maxs, maxs)
+        assert engine.percepts.count == 20
+        assert engine.to_json() == before
+
+    def test_first_observation_is_checked_before_dim_is_fixed(self):
+        engine = Engine(EngineConfig(), PA1)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.explore_step([np.nan, 0.0], 1)
+        assert engine.dim is None
+        assert engine.percepts.mins is None
+        assert engine.cycle == 0 and engine.agents == []
+
+    def test_non_finite_training_row_rejected_up_front(self):
+        X, Y = TestExploreInvariants.train_data(n=20)
+        X[15, 1] = np.inf
+        engine = Engine(EngineConfig(), PA1, dim=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.train(X, Y)
+        assert engine.cycle == 0 and engine.agents == []
+
+    def test_non_finite_point_rejected(self):
+        engine = self.trained()
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.predict([np.nan, np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.predict_batch([[0.0, 0.0], [np.inf, 0.0]])
+
+    def test_wrong_dimension_rejected(self):
+        engine = self.trained()
+        with pytest.raises(ValueError, match="dimension 3, engine has 2"):
+            engine.predict([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension 3, engine has 2"):
+            engine.explore_step([0.0, 0.0, 0.0], 1)
+        with pytest.raises(ValueError, match="dimension 1, engine has 2"):
+            engine.predict_batch(np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="2-d matrix"):
+            engine.predict_batch([0.0, 0.0])
+        with pytest.raises(ValueError, match="1-d point"):
+            engine.predict([[0.0, 0.0]])
 
 
 class TestDeterminismAndPersistence:
