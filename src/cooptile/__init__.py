@@ -1,7 +1,7 @@
 """Cooperative tiling of input space by box-shaped agents with online
 linear models, for non-linear binary classification."""
 
-from .agents import ContextAgent, EngineConfig, Normalization, PerceptTracker
+from .agents import EngineConfig, Normalization, PerceptTracker, Population
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, load_csv, save_csv, standardize
 from .engine import CycleReport, Engine, NcsEvent, NcsKind, Resolution
 from .geometry import Hypercube
@@ -10,7 +10,6 @@ from .linear import LinearModelConfig, ModelKind, OnlineLinearModel, Penalty
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContextAgent",
     "CycleReport",
     "Dataset",
     "Engine",
@@ -24,6 +23,7 @@ __all__ = [
     "OnlineLinearModel",
     "Penalty",
     "PerceptTracker",
+    "Population",
     "Resolution",
     "gen_circles",
     "gen_linear",

@@ -1,12 +1,12 @@
-"""Tiling agents: box-shaped local experts plus input-extrema tracking.
+"""Tiling agents, stored as arrays, plus input-extrema tracking.
 
-A :class:`ContextAgent` owns a hypercube activation region, an online
-linear model trained on the observations that activated it, and a
-confidence that is the running sum of weighted feedback: each correct
-proposal adds ``reward_weight``, each wrong one subtracts
-``penalty_weight``. The agent's score is a normalization of that
-confidence (currently the sigmoid) and drives winner selection and all
-geometric arbitration between agents.
+An agent is one row of the :class:`Population` arrays, which hold every
+agent of an engine in ascending id order: a box region ``[lower, upper]``,
+an online linear model (``weights``, ``bias``, ``step_count``) trained on
+the observations that activated it, and a ``confidence``, the running sum
+of weighted feedback (``+reward_weight`` when right, ``-penalty_weight``
+when wrong). Its ``score``, the sigmoid of the confidence, drives winner
+selection and all geometric arbitration between agents.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import Hypercube
-from .linear import OnlineLinearModel, _sigmoid
+from .linear import LinearModelConfig, _sigmoid, linear_update
 
 
 class Normalization(str, Enum):
@@ -87,27 +87,67 @@ class EngineConfig:
         return cls(**d)
 
 
-@dataclass(slots=True)
-class ContextAgent:
-    """Hypercube region + local model + feedback-driven confidence."""
+class Population:
+    """The agents of one engine, one row each, in ascending id order.
 
-    id: int
-    region: Hypercube
-    model: OnlineLinearModel
-    confidence: float = 0.0
-    creation_cycle: int = 0
-    alive: bool = True
+    The arrays are sized exactly: a created agent is appended as the last
+    row and dead agents are dropped with one mask. Row operations reuse the
+    scalar :class:`Hypercube` and ``linear_update`` arithmetic, so every row
+    evolves bit for bit as a box and a model of its own would.
+    """
 
-    def score(self, cfg: EngineConfig) -> float:
-        """Sigmoid of the confidence, in (0, 1); 0.5 for a fresh agent."""
-        return _sigmoid(self.confidence)
+    #: Every array, in row-tuple order: name -> (dtype, whether a row holds a dim-vector).
+    FIELDS = {
+        "id": (np.int64, False), "lower": (float, True), "upper": (float, True), "weights": (float, True),
+        "bias": (float, False), "step_count": (np.int64, False), "confidence": (float, False),
+        "score": (float, False),  # sigmoid(confidence), set whenever confidence changes
+        "creation_cycle": (np.int64, False),
+    }
+    __slots__ = tuple(FIELDS)
 
-    def propose(self, x) -> int:
-        """The agent's class proposal at ``x`` (its model's prediction)."""
-        return self.model.predict(x)
+    def __init__(self, dim: int):
+        for name, (dtype, vector) in self.FIELDS.items():
+            setattr(self, name, np.zeros((0, dim) if vector else 0, dtype=dtype))
 
-    def apply_feedback(self, correct: bool, x, y: int, cfg: EngineConfig) -> None:
-        """React to the verdict on this agent's proposal for ``(x, y)``.
+    def __len__(self) -> int:
+        return self.id.size
+
+    def box(self, i: int) -> Hypercube:
+        """Row ``i``'s region, as a box of its own."""
+        return Hypercube(self.lower[i], self.upper[i])
+
+    def set_box(self, i: int, box: Hypercube) -> None:
+        self.lower[i] = box.lower
+        self.upper[i] = box.upper
+
+    def append(self, agent_id: int, box: Hypercube, cycle: int) -> int:
+        """Add an agent with a zero model and zero confidence as the last row; returns the row."""
+        self._extend([(agent_id, box.lower, box.upper, np.zeros(box.dim), 0.0, 0, 0.0, _sigmoid(0.0), cycle)])
+        return len(self) - 1
+
+    def _extend(self, rows: list[tuple]) -> None:
+        """Append row tuples (``FIELDS`` order); a row of another dimension raises ``ValueError``."""
+        for (name, (dtype, _)), column in zip(self.FIELDS.items(), zip(*rows)):
+            setattr(self, name, np.concatenate([getattr(self, name), np.array(column, dtype=dtype)]))
+
+    def drop(self, rows: set[int]) -> None:
+        """Remove the given rows, applying one boolean mask to every array."""
+        keep = np.ones(len(self), dtype=bool)
+        keep[list(rows)] = False
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+
+    def propose(self, i: int, x: np.ndarray) -> int:
+        """Row ``i``'s class proposal at ``x``: 1 when ``w . x + b >= 0``."""
+        return 1 if float(self.weights[i] @ x) + self.bias[i] >= 0.0 else 0
+
+    def fit(self, i: int, x: np.ndarray, y: int, model_cfg: LinearModelConfig) -> None:
+        """One update of row ``i``'s linear model on the checked sample ``(x, y)``."""
+        self.bias[i] = linear_update(model_cfg, self.weights[i], float(self.bias[i]), int(self.step_count[i]), x, y)
+        self.step_count[i] += 1
+
+    def feedback(self, i: int, correct: bool, x, y: int, cfg: EngineConfig, model_cfg: LinearModelConfig) -> None:
+        """React to the verdict on row ``i``'s proposal for ``(x, y)``.
 
         Correct: confidence rises, the region grows, and (by default) the
         model also trains on the observation. Wrong with point exclusion
@@ -115,37 +155,41 @@ class ContextAgent:
         model untouched. Wrong with exclusion off: confidence drops, the
         model trains on the observation, and the region shrinks.
         """
+        self.confidence[i] += cfg.reward_weight if correct else -cfg.penalty_weight
+        self.score[i] = _sigmoid(float(self.confidence[i]))
         if correct:
-            self.confidence += cfg.reward_weight
-            self.region = self.region.expand(cfg.resize_factor)
+            self.set_box(i, self.box(i).expand(cfg.resize_factor))
             if cfg.train_on_correct:
-                self.model.partial_fit(x, y)
+                self.fit(i, x, y, model_cfg)
         elif cfg.exclude_points:
-            self.confidence -= cfg.penalty_weight
-            self.region = self.region.exclude(x, cfg.epsilon_scale)
+            self.set_box(i, self.box(i).exclude(x, cfg.epsilon_scale))
         else:
-            self.confidence -= cfg.penalty_weight
-            self.model.partial_fit(x, y)
-            self.region = self.region.retract(cfg.resize_factor)
+            self.fit(i, x, y, model_cfg)
+            self.set_box(i, self.box(i).retract(cfg.resize_factor))
 
-    def to_dict(self) -> dict:
-        return {
-            "id": int(self.id),
-            "region": self.region.to_dict(),
-            "confidence": float(self.confidence),
-            "creation_cycle": int(self.creation_cycle),
-            "model": self.model.to_dict(),
-        }
+    def to_dicts(self, model_cfg: LinearModelConfig) -> list[dict]:
+        """One JSON-ready dict per agent, in row order."""
+        model = model_cfg.to_dict()
+        return [
+            {"id": i, "region": {"lower": lo, "upper": up}, "confidence": c, "creation_cycle": cc,
+             "model": {**model, "weights": w, "bias": b, "step_count": t}}
+            for i, lo, up, w, b, t, c, _, cc in zip(*(getattr(self, name).tolist() for name in self.FIELDS))
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ContextAgent":
-        return cls(
-            id=int(d["id"]),
-            region=Hypercube.from_dict(d["region"]),
-            model=OnlineLinearModel.from_dict(d["model"]),
-            confidence=float(d["confidence"]),
-            creation_cycle=int(d["creation_cycle"]),
-        )
+    def from_dicts(cls, agents: list[dict], dim: int) -> "Population":
+        """The population of ``to_dicts`` output, checked; rows sorted by id."""
+        pop = cls(dim)
+        pop._extend([
+            (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
+             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])), d["creation_cycle"])
+            for d in sorted(agents, key=lambda d: int(d["id"]))
+        ])
+        if not np.all(pop.lower < pop.upper):
+            raise ValueError("every lower bound must lie strictly below its upper bound")
+        if np.any(np.diff(pop.id) <= 0):
+            raise ValueError("agent ids must be unique")
+        return pop
 
 
 @dataclass

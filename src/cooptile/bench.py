@@ -14,6 +14,7 @@ order-independent, so results are identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,8 +258,9 @@ def grid_search_mas(
         # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = max(1, min(4, math.ceil(len(grid) / jobs)))  # a small grid still reaches every worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mas_cell_scores, payloads, chunksize=4))
+            results = list(pool.map(_mas_cell_scores, payloads, chunksize=chunksize))
     else:
         results = [_mas_cell_scores(p) for p in payloads]
     per_cell = [scores for _, scores in sorted(results, key=lambda r: r[0])]

@@ -8,7 +8,8 @@ score tie and vote, an even vote going to class 0; the answering agent is
 the lowest-id tied agent proposing the chosen class. An uncovered point
 goes to the nearest agent (Euclidean distance to its box, ties to the
 lowest id), which answers with its own proposal. ``Engine._decide``
-applies the rule to a block of rows at once.
+applies the rule to a block of rows at once, reading the arrays of the
+population (``agents.Population``) in place.
 
 During *exploration*, each labeled observation drives one cycle: the rule
 gives the system prediction, every activated agent receives feedback on
@@ -40,11 +41,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .agents import ContextAgent, EngineConfig, PerceptTracker
+from .agents import EngineConfig, PerceptTracker, Population
 from .geometry import Hypercube
 from .linear import LinearModelConfig
 
@@ -121,7 +122,7 @@ class Engine:
         self.cfg = cfg
         self.model_cfg = model_cfg
         self.dim = dim
-        self.agents: list[ContextAgent] = []  # alive agents, ascending id
+        self.agents = Population(dim or 0)
         self.percepts = PerceptTracker()
         self.cycle = 0
         self._next_id = 0
@@ -135,25 +136,29 @@ class Engine:
             raise ValueError(f"label {y!r} outside class universe {CLASS_UNIVERSE}")
         if self.dim is None:
             self.dim = x.size
+            self.agents = Population(self.dim)
         self.percepts.update(x)
+        pop = self.agents
         events: list[NcsEvent] = []
-        activated: list[ContextAgent] = []
-        if self.agents:
+        dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
+        active = np.zeros(0, dtype=int)
+        if len(pop):
             labels, winners, inside, votes = self._decide(x[None, :])
-            activated = [a for a, on in zip(self.agents, inside[0]) if on]
-        if not activated:
-            _, prediction = self._resolve_incompetence(x, y, events)
+            active = np.flatnonzero(inside[0])
+        if not active.size:
+            prediction = self._create(x, int(y), events, dead)
             winner_id = None
         else:
-            proposals = {a.id: int(v) for a, v, on in zip(self.agents, votes[0], inside[0]) if on}
-            winner_id = self.agents[winners[0]].id
+            proposals = dict(zip(active.tolist(), votes[0, active].astype(int).tolist()))
+            winner_id = int(pop.id[winners[0]])
             prediction = int(labels[0])
-            for a in activated:
-                a.apply_feedback(proposals[a.id] == y, x, int(y), self.cfg)
-            self._resolve_pairs(list(combinations(activated, 2)), proposals, events)
-        report = CycleReport(self.cycle, [a.id for a in activated], winner_id, prediction, events)
+            for i in active.tolist():
+                pop.feedback(i, proposals[i] == y, x, int(y), self.cfg, self.model_cfg)
+            self._resolve_pairs(list(combinations(active.tolist(), 2)), proposals, events, dead)
+        report = CycleReport(self.cycle, pop.id[active].tolist(), winner_id, prediction, events)
         self.cycle += 1
-        self.agents = [a for a in self.agents if a.alive]
+        if dead:
+            pop.drop(dead)
         return report
 
     def train(self, X, Y, trace: IO | None = None) -> "Engine":
@@ -164,6 +169,8 @@ class Engine:
             raise ValueError("X must be a non-empty 2-d matrix")
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y row counts differ")
+        if not np.isin(Y, CLASS_UNIVERSE).all():
+            raise ValueError(f"every label must be one of {CLASS_UNIVERSE}")
         rng = np.random.default_rng(self.cfg.seed)
         for _ in range(self.cfg.exploration_passes):
             for i in rng.permutation(X.shape[0]):
@@ -172,91 +179,48 @@ class Engine:
                     trace.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return self
 
-    def resolve_incompetence(self, x, y: int) -> tuple[ContextAgent, list[NcsEvent]]:
-        """Create an agent around an uncovered point and arbitrate overlaps."""
-        events: list[NcsEvent] = []
-        x = self._checked(x, ndim=1)
-        if self.dim is None:
-            self.dim = x.size
-        created, _ = self._resolve_incompetence(x, y, events)
-        self.agents = [a for a in self.agents if a.alive]
-        return created, events
-
-    def _resolve_incompetence(self, x, y: int, events: list[NcsEvent]) -> tuple[ContextAgent, int]:
-        region = Hypercube.around(x, self.cfg.init_radius)
-        model = self.model_cfg.build(self.dim)
-        model.partial_fit(x, int(y))
-        created = ContextAgent(
-            id=self._next_id, region=region, model=model, creation_cycle=self.cycle
-        )
+    def _create(self, x: np.ndarray, y: int, events: list[NcsEvent], dead: set[int]) -> int:
+        """Create an agent around an uncovered point, arbitrate its overlaps; returns its proposal."""
+        pop = self.agents
+        c = pop.append(self._next_id, Hypercube.around(x, self.cfg.init_radius), self.cycle)
         self._next_id += 1
-        self.agents.append(created)
-        events.append(NcsEvent(NcsKind.INCOMPETENCE, (created.id,), Resolution.CREATE))
-        prediction = created.propose(x)
-        proposals = {created.id: prediction}
-        pairs = []
-        for other in self.agents:
-            if other is created or not other.alive:
+        pop.fit(c, x, y, self.model_cfg)
+        events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
+        prediction = pop.propose(c, x)
+        proposals = {c: prediction}
+        # the overlap test of Hypercube.intersection_volume(...) > 0.0, against every older row
+        widths = np.minimum(pop.upper[c], pop.upper[:c]) - np.maximum(pop.lower[c], pop.lower[:c])
+        rows = np.flatnonzero(np.all(widths > 0.0, axis=1))
+        rows = rows[np.prod(widths[rows], axis=1) > 0.0]  # a product of positive widths can underflow
+        proposals.update((j, pop.propose(j, x)) for j in rows.tolist())
+        self._resolve_pairs([(c, j) for j in rows.tolist()], proposals, events, dead)
+        return prediction
+
+    def _resolve_pairs(self, pairs: list[tuple[int, int]], proposals: dict[int, int],
+                       events: list[NcsEvent], dead: set[int]) -> None:
+        """Arbitrate the overlapping pairs of rows, highest-scoring pair first."""
+        threshold, pop = self.cfg.overlap_threshold, self.agents
+        score, ids = pop.score.tolist(), pop.id.tolist()
+        # ids ascend with rows, so row order breaks score ties as id order does
+        for a, b in sorted(pairs, key=lambda p: (-max(score[p[0]], score[p[1]]), min(p), max(p))):
+            if a in dead or b in dead:
                 continue
-            if created.region.intersection_volume(other.region) > 0.0:
-                proposals[other.id] = other.propose(x)
-                pairs.append((created, other))
-        self._resolve_pairs(pairs, proposals, events)
-        return created, prediction
-
-    def resolve_pairwise(
-        self, participants: Sequence[ContextAgent], proposals: dict[int, int]
-    ) -> list[NcsEvent]:
-        """Arbitrate every overlapping pair among ``participants``."""
-        events: list[NcsEvent] = []
-        self._resolve_pairs(list(combinations(participants, 2)), proposals, events)
-        self.agents = [a for a in self.agents if a.alive]
-        return events
-
-    def _resolve_pairs(
-        self,
-        pairs: list[tuple[ContextAgent, ContextAgent]],
-        proposals: dict[int, int],
-        events: list[NcsEvent],
-    ) -> None:
-        cfg = self.cfg
-
-        def pair_key(pair: tuple[ContextAgent, ContextAgent]):
-            a, b = pair
-            return (-max(a.score(cfg), b.score(cfg)), min(a.id, b.id), max(a.id, b.id))
-
-        for a, b in sorted(pairs, key=pair_key):
-            if not (a.alive and b.alive):
+            if score[b] > score[a] or (score[a] == score[b] and b < a):
+                a, b = b, a  # a wins
+            win, lose = pop.box(a), pop.box(b)
+            if win.intersection_volume(lose) == 0.0:
                 continue
-            if a.region.intersection_volume(b.region) == 0.0:
-                continue
-            same = proposals[a.id] == proposals[b.id]
+            same = proposals[a] == proposals[b]
+            pushed = None
+            if not (same and threshold is not None and win.overlap_index(lose) > threshold):
+                pushed = win.push(lose)
+            if pushed is None:  # heavy same-class overlap, or no single cut separates them
+                pop.set_box(a, win.enclose(lose))
+                dead.add(b)
+            else:
+                pop.set_box(b, pushed)
             kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
-            sa, sb = a.score(cfg), b.score(cfg)
-            if sa > sb or (sa == sb and a.id < b.id):
-                winner, loser = a, b
-            else:
-                winner, loser = b, a
-            if (
-                same
-                and cfg.overlap_threshold is not None
-                and a.region.overlap_index(b.region) > cfg.overlap_threshold
-            ):
-                self._absorb(winner, loser)
-                events.append(NcsEvent(kind, (winner.id, loser.id), Resolution.ABSORB))
-                continue
-            pushed = winner.region.push(loser.region)
-            if pushed is None:
-                self._absorb(winner, loser)
-                events.append(NcsEvent(kind, (winner.id, loser.id), Resolution.ABSORB))
-            else:
-                loser.region = pushed
-                events.append(NcsEvent(kind, (winner.id, loser.id), Resolution.PUSH))
-
-    @staticmethod
-    def _absorb(winner: ContextAgent, loser: ContextAgent) -> None:
-        winner.region = winner.region.enclose(loser.region)
-        loser.alive = False
+            events.append(NcsEvent(kind, (ids[a], ids[b]), Resolution.ABSORB if pushed is None else Resolution.PUSH))
 
     # -- exploitation ----------------------------------------------------
 
@@ -264,12 +228,10 @@ class Engine:
         """Classify one point without mutating any agent."""
         x = self._checked(x, ndim=1)
         labels, winners, inside, _ = self._decide(x[None, :])
-        winner_id = self.agents[winners[0]].id
-        activated_ids = [a.id for a, on in zip(self.agents, inside[0]) if on]
-        if activated_ids:
-            return CycleReport(self.cycle, activated_ids, winner_id, int(labels[0]))
-        event = NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)
-        return CycleReport(self.cycle, [], winner_id, int(labels[0]), [event])
+        winner_id = int(self.agents.id[winners[0]])
+        activated_ids = self.agents.id[inside[0]].tolist()
+        events = [] if activated_ids else [NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)]
+        return CycleReport(self.cycle, activated_ids, winner_id, int(labels[0]), events)
 
     def predict(self, x) -> int:
         return self.exploit_step(x).prediction
@@ -285,19 +247,16 @@ class Engine:
     def _decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Apply the decision rule to every row of a checked ``(rows, dim)`` matrix.
 
-        Returns the class of each row, the index into ``self.agents`` of
-        the agent answering it, and the ``(rows, agents)`` masks of
-        activation and of class-1 proposals. Agents are kept in ascending
-        id order, so the first index of a tie is the lowest id.
+        Returns the class of each row, the population row of the agent
+        answering it, and the ``(rows, agents)`` masks of activation and of
+        class-1 proposals. Rows are in ascending id order, so the first
+        index of a tie is the lowest id.
         """
-        if not self.agents:
+        pop = self.agents
+        if not len(pop):
             raise RuntimeError("engine has no agents; train before predicting")
-        lower = np.array([a.region.lower for a in self.agents])
-        upper = np.array([a.region.upper for a in self.agents])
-        scores = np.array([a.score(self.cfg) for a in self.agents])
-        weights = np.array([a.model.weights for a in self.agents])
-        bias = np.array([a.model.bias for a in self.agents])
-        n, m = X.shape[0], len(self.agents)
+        lower, upper, scores, weights, bias = pop.lower, pop.upper, pop.score, pop.weights, pop.bias
+        n, m = X.shape[0], len(pop)
         labels = np.empty(n, dtype=int)
         winners = np.empty(n, dtype=int)
         inside = np.empty((n, m), dtype=bool)
@@ -345,7 +304,7 @@ class Engine:
             "dim": self.dim,
             "cycle": int(self.cycle),
             "next_agent_id": int(self._next_id),
-            "agents": [a.to_dict() for a in sorted(self.agents, key=lambda a: a.id)],
+            "agents": self.agents.to_dicts(self.model_cfg),
         }
 
     def to_json(self) -> str:
@@ -358,5 +317,5 @@ class Engine:
         engine = cls(cfg, model_cfg, dim=snap.get("dim"))
         engine.cycle = int(snap["cycle"])
         engine._next_id = int(snap["next_agent_id"])
-        engine.agents = [ContextAgent.from_dict(d) for d in snap["agents"]]
+        engine.agents = Population.from_dicts(snap["agents"], engine.dim or 0)
         return engine

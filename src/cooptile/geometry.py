@@ -202,13 +202,6 @@ class Hypercube:
         # hypot, not the root of summed squares: a tiny gap must not underflow to 0
         return float(np.hypot.reduce(outside))
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hypercube":
-        return cls(np.asarray(d["lower"], dtype=float), np.asarray(d["upper"], dtype=float))
-
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size != self.dim:

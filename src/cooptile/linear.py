@@ -106,6 +106,45 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, x: np.ndarray, y: int) -> float:
+    """Update weights ``w`` (in place) and bias ``b`` of a ``cfg`` model after ``t`` steps on the
+    checked sample ``(x, y)``; returns the new bias. ``OnlineLinearModel`` and ``Population`` share it."""
+    s = 2.0 * y - 1.0
+    f = float(w @ x) + b
+    if cfg.kind in GRADIENT_KINDS:
+        if cfg.kind is ModelKind.LOGIT:
+            # d/df log(1 + exp(-s f)) = -s * sigmoid(-s f)
+            g = -s * _sigmoid(-s * f)
+        else:
+            g = -s if s * f < 1.0 else 0.0
+        eta = cfg.learning_rate0 / (1.0 + cfg.learning_rate0 * cfg.alpha_reg * t)
+        w -= eta * (g * x + _penalty_gradient(cfg, w))
+        return b - eta * g
+    loss = max(0.0, 1.0 - s * f)
+    norm_sq = float(x @ x)
+    if loss == 0.0 or norm_sq == 0.0:
+        # nothing to correct, or a degenerate sample with nothing informative to move along
+        return b
+    q = norm_sq + 1.0  # unit bias feature included
+    if cfg.kind is ModelKind.PA_I:
+        tau = min(cfg.aggressiveness_c, loss / q)
+    else:
+        tau = loss / (q + 0.5 / cfg.aggressiveness_c)
+    w += (tau * s) * x
+    return b + tau * s
+
+
+def _penalty_gradient(cfg: LinearModelConfig, w: np.ndarray):
+    if cfg.alpha_reg == 0.0:
+        return 0.0
+    if cfg.penalty is Penalty.L2:
+        return cfg.alpha_reg * w
+    if cfg.penalty is Penalty.L1:
+        return cfg.alpha_reg * np.sign(w)
+    r = cfg.l1_ratio
+    return cfg.alpha_reg * (r * np.sign(w) + (1.0 - r) * w)
+
+
 class OnlineLinearModel:
     """Mutable weights/bias updated one labeled sample at a time.
 
@@ -145,33 +184,7 @@ class OnlineLinearModel:
         x = self._check_point(x)
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
-        s = 2.0 * y - 1.0
-        cfg = self.config
-        f = float(self.weights @ x) + self.bias
-        if cfg.kind in GRADIENT_KINDS:
-            if cfg.kind is ModelKind.LOGIT:
-                # d/df log(1 + exp(-s f)) = -s * sigmoid(-s f)
-                g = -s * _sigmoid(-s * f)
-            else:
-                g = -s if s * f < 1.0 else 0.0
-            eta = cfg.learning_rate0 / (1.0 + cfg.learning_rate0 * cfg.alpha_reg * self.step_count)
-            self.weights -= eta * (g * x + self._penalty_gradient())
-            self.bias -= eta * g
-        else:
-            loss = max(0.0, 1.0 - s * f)
-            if loss > 0.0:
-                norm_sq = float(x @ x)
-                if norm_sq == 0.0:
-                    # degenerate sample: nothing informative to move along
-                    self.step_count += 1
-                    return self
-                q = norm_sq + 1.0  # unit bias feature included
-                if cfg.kind is ModelKind.PA_I:
-                    tau = min(cfg.aggressiveness_c, loss / q)
-                else:
-                    tau = loss / (q + 0.5 / cfg.aggressiveness_c)
-                self.weights += (tau * s) * x
-                self.bias += tau * s
+        self.bias = linear_update(self.config, self.weights, self.bias, self.step_count, x, y)
         self.step_count += 1
         return self
 
@@ -188,17 +201,6 @@ class OnlineLinearModel:
             for i in rng.permutation(X.shape[0]):
                 self.partial_fit(X[i], int(Y[i]))
         return self
-
-    def _penalty_gradient(self):
-        cfg = self.config
-        if cfg.alpha_reg == 0.0:
-            return 0.0
-        if cfg.penalty is Penalty.L2:
-            return cfg.alpha_reg * self.weights
-        if cfg.penalty is Penalty.L1:
-            return cfg.alpha_reg * np.sign(self.weights)
-        r = cfg.l1_ratio
-        return cfg.alpha_reg * (r * np.sign(self.weights) + (1.0 - r) * self.weights)
 
     def to_dict(self) -> dict:
         d = self.config.to_dict()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cooptile.agents import ContextAgent, EngineConfig
+from cooptile.agents import EngineConfig
 from cooptile.bench import (
     KINDS,
     boundary_grid,
@@ -185,16 +185,17 @@ def test_criterion_6_property_suites():
 
     # confidence equals the weighted running sum exactly
     cfg = EngineConfig(reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
-    agent = ContextAgent(
-        id=0,
-        region=Hypercube(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
-        model=LinearModelConfig(kind=ModelKind.PA_I).build(2),
-    )
+    pa1 = LinearModelConfig(kind=ModelKind.PA_I)
+    agent = {"id": 0, "region": {"lower": [-5.0, -5.0], "upper": [5.0, 5.0]}, "confidence": 0.0,
+             "creation_cycle": 0, "model": {**pa1.to_dict(), "weights": [0.0, 0.0], "bias": 0.0}}
+    engine = Engine.from_snapshot({"config": cfg.to_dict(), "model_config": pa1.to_dict(), "dim": 2,
+                                   "cycle": 0, "next_agent_id": 1, "agents": [agent]})
     verdicts = rng.integers(0, 2, size=500).astype(bool)
     for correct in verdicts:
-        agent.apply_feedback(bool(correct), np.zeros(2), 1, cfg)
+        proposal = engine.predict(np.zeros(2))  # the one agent's proposal
+        engine.explore_step(np.zeros(2), proposal if correct else 1 - proposal)
     good = int(verdicts.sum())
-    assert agent.confidence == 1.0 * good - 0.5 * (len(verdicts) - good)
+    assert engine.agents.confidence.tolist() == [1.0 * good - 0.5 * (len(verdicts) - good)]
 
     # engine determinism and exploitation immutability
     X = rng.uniform(-2, 2, size=(60, 2))

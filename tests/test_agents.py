@@ -1,102 +1,103 @@
-"""Context-agent feedback arithmetic, scoring, and extrema tracking."""
+"""Agent feedback arithmetic, scoring, and extrema tracking."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cooptile.agents import ContextAgent, EngineConfig, PerceptTracker
-from cooptile.geometry import Hypercube
-from cooptile.linear import LinearModelConfig, ModelKind
+from cooptile.agents import EngineConfig, PerceptTracker
+from cooptile.engine import Engine
+from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
 
 TOL = 1e-9
+PA1 = LinearModelConfig(kind=ModelKind.PA_I)
 
 
-def make_agent(agent_id=0, lo=(0.0, 0.0), up=(1.0, 1.0)) -> ContextAgent:
-    region = Hypercube(np.asarray(lo, dtype=float), np.asarray(up, dtype=float))
-    return ContextAgent(id=agent_id, region=region, model=LinearModelConfig(kind=ModelKind.PA_I).build(2))
+def engine_with_agents(*confidences: float, lo=(0.0, 0.0), up=(1.0, 1.0), **cfg_kwargs) -> Engine:
+    """An engine restored from a snapshot of zero-model agents sharing one box."""
+    agents = [
+        {"id": i, "region": {"lower": list(lo), "upper": list(up)}, "confidence": c, "creation_cycle": 0,
+         "model": {**PA1.to_dict(), "weights": [0.0] * len(lo), "bias": 0.0, "step_count": 0}}
+        for i, c in enumerate(confidences)
+    ]
+    snap = {"config": EngineConfig(**cfg_kwargs).to_dict(), "model_config": PA1.to_dict(), "dim": len(lo),
+            "cycle": 0, "next_agent_id": len(agents), "agents": agents}
+    return Engine.from_snapshot(snap)
+
+
+def give_feedback(engine: Engine, correct: bool, x) -> None:
+    """One exploration cycle at ``x`` whose label makes the single agent right or wrong."""
+    proposal = engine.predict(x)
+    engine.explore_step(x, proposal if correct else 1 - proposal)
 
 
 class TestScore:
     def test_fresh_agent_scores_half(self):
-        cfg = EngineConfig()
-        assert make_agent().score(cfg) == 0.5
+        assert engine_with_agents(0.0).agents.score[0] == 0.5
 
     def test_three_correct_two_wrong(self):
-        cfg = EngineConfig(reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
-        agent = make_agent()
+        engine = engine_with_agents(0.0, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
         x = np.array([0.5, 0.5])
         for correct in (True, True, True, False, False):
-            agent.apply_feedback(correct, x, 1, cfg)
-        assert agent.confidence == 2.0
-        assert agent.score(cfg) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=TOL)
-        assert agent.score(cfg) == pytest.approx(0.8807970779778823, abs=TOL)
+            give_feedback(engine, correct, x)
+        assert engine.agents.confidence[0] == 2.0
+        assert engine.agents.score[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=TOL)
+        assert engine.agents.score[0] == pytest.approx(0.8807970779778823, abs=TOL)
 
     def test_strictly_increasing_and_bounded(self):
         # |confidence| <= 36 keeps the sigmoid away from float saturation
-        cfg = EngineConfig()
-        agent = make_agent()
-        previous = -1.0
-        for confidence in (-36.0, -5.0, 0.0, 3.0, 36.0):
-            agent.confidence = confidence
-            s = agent.score(cfg)
-            assert 0.0 < s < 1.0
-            assert s > previous
-            previous = s
+        scores = engine_with_agents(-36.0, -5.0, 0.0, 3.0, 36.0).agents.score
+        assert np.all((0.0 < scores) & (scores < 1.0))
+        assert np.all(np.diff(scores) > 0.0)
 
 
 class TestFeedback:
     def test_correct_with_zero_resize(self):
-        cfg = EngineConfig(resize_factor=0.0, reward_weight=1.0)
-        agent = make_agent()
-        volume = agent.region.volume()
-        agent.apply_feedback(True, np.array([0.5, 0.5]), 1, cfg)
-        assert agent.confidence == 1.0
-        assert agent.region.volume() == volume
+        engine = engine_with_agents(0.0, resize_factor=0.0, reward_weight=1.0)
+        volume = engine.agents.box(0).volume()
+        give_feedback(engine, True, np.array([0.5, 0.5]))
+        assert engine.agents.confidence[0] == 1.0
+        assert engine.agents.box(0).volume() == volume
 
     def test_correct_grows_region_and_trains(self):
-        cfg = EngineConfig(resize_factor=0.1)
-        agent = make_agent()
-        agent.apply_feedback(True, np.array([0.5, 0.5]), 1, cfg)
-        assert agent.region.volume() == pytest.approx(1.1, rel=TOL)
-        assert agent.model.step_count == 1
+        engine = engine_with_agents(0.0, resize_factor=0.1)
+        give_feedback(engine, True, np.array([0.5, 0.5]))
+        assert engine.agents.box(0).volume() == pytest.approx(1.1, rel=TOL)
+        assert engine.agents.step_count[0] == 1
 
     def test_correct_without_model_update_when_disabled(self):
-        cfg = EngineConfig(resize_factor=0.1, train_on_correct=False)
-        agent = make_agent()
-        agent.apply_feedback(True, np.array([0.5, 0.5]), 1, cfg)
-        assert agent.model.step_count == 0
+        engine = engine_with_agents(0.0, resize_factor=0.1, train_on_correct=False)
+        give_feedback(engine, True, np.array([0.5, 0.5]))
+        assert engine.agents.step_count[0] == 0
 
     def test_wrong_with_exclusion_deactivates_point(self):
-        cfg = EngineConfig(exclude_points=True, penalty_weight=0.5)
-        agent = make_agent()
+        engine = engine_with_agents(0.0, exclude_points=True, penalty_weight=0.5)
         x = np.array([0.9, 0.5])
-        agent.apply_feedback(False, x, 1, cfg)
-        assert agent.confidence == -0.5
-        assert not agent.region.contains(x)
-        assert agent.model.step_count == 0  # model untouched on exclusion
+        give_feedback(engine, False, x)
+        assert engine.agents.confidence[0] == -0.5
+        assert not engine.agents.box(0).contains(x)
+        assert engine.agents.step_count[0] == 0  # model untouched on exclusion
 
     def test_wrong_without_exclusion_shrinks_and_trains(self):
-        cfg = EngineConfig(exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
-        agent = make_agent()
-        agent.apply_feedback(False, np.array([0.5, 0.5]), 0, cfg)
-        assert agent.confidence == -0.5
-        assert agent.region.volume() == pytest.approx(0.9, rel=TOL)
-        assert agent.model.step_count == 1
+        engine = engine_with_agents(0.0, exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
+        give_feedback(engine, False, np.array([0.5, 0.5]))
+        assert engine.agents.confidence[0] == -0.5
+        assert engine.agents.box(0).volume() == pytest.approx(0.9, rel=TOL)
+        assert engine.agents.step_count[0] == 1
 
     def test_confidence_is_running_weighted_sum(self):
         # dyadic weights make the running sum exact
-        cfg = EngineConfig(reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0,
-                           exclude_points=False)
+        engine = engine_with_agents(0.0, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0,
+                                    exclude_points=False)
         rng = np.random.default_rng(7)
-        agent = make_agent()
         verdicts = rng.integers(0, 2, size=200).astype(bool)
         x = np.array([0.5, 0.5])
         for correct in verdicts:
-            agent.apply_feedback(bool(correct), x, 1, cfg)
+            give_feedback(engine, bool(correct), x)
         n_good = int(verdicts.sum())
         n_bad = len(verdicts) - n_good
-        assert agent.confidence == 1.0 * n_good - 0.5 * n_bad
+        assert engine.agents.confidence[0] == 1.0 * n_good - 0.5 * n_bad
+        assert engine.agents.score[0] == _sigmoid(1.0 * n_good - 0.5 * n_bad)
 
 
 class TestPerceptTracker:

@@ -176,6 +176,16 @@ class TestGridSearch:
                                    grid=grid, passes=1, jobs=2)
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_small_grid_parallel_matches_serial(self):
+        # three cells over two workers: chunks of two and one
+        ds = self.easy_dataset()
+        grid = default_engine_grid()[:3]
+        serial = grid_search_mas(ds, ModelKind.PA_I, {"aggressiveness_c": 1.0},
+                                 grid=grid, passes=1, jobs=1)
+        parallel = grid_search_mas(ds, ModelKind.PA_I, {"aggressiveness_c": 1.0},
+                                   grid=grid, passes=1, jobs=2)
+        assert serial.to_dict() == parallel.to_dict()
+
 
 class TestBoundaryGrid:
     def test_constant_model_yields_single_class(self):

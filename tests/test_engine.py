@@ -1,7 +1,9 @@
 """Engine cycle tests: incompetence, competition, conflict, exploitation."""
 
+import gc
 import io
 import json
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptile.agents import ContextAgent, EngineConfig
+from cooptile.agents import EngineConfig
 from cooptile.datasets import gen_circles, standardize
 from cooptile.engine import DECIDE_BLOCK_ROWS, Engine, NcsKind, Resolution
 from cooptile.geometry import Hypercube
-from cooptile.linear import LinearModelConfig, ModelKind
+from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
 
 PA1 = LinearModelConfig(kind=ModelKind.PA_I)
 
@@ -23,18 +25,43 @@ def make_engine(**cfg_kwargs) -> Engine:
     return Engine(EngineConfig(**cfg_kwargs), PA1, dim=2)
 
 
-def constant_agent(agent_id: int, lo, up, proposes: int, confidence: float = 0.0) -> ContextAgent:
+def agent_dict(agent_id: int, lo, up, weights=(0.0, 0.0), bias=0.0, confidence: float = 0.0) -> dict:
+    """One agent as ``Engine.snapshot()`` lists it."""
+    return {
+        "id": agent_id,
+        "region": {"lower": [float(v) for v in lo], "upper": [float(v) for v in up]},
+        "confidence": float(confidence),
+        "creation_cycle": 0,
+        "model": {**PA1.to_dict(), "weights": [float(w) for w in weights], "bias": float(bias), "step_count": 0},
+    }
+
+
+def constant_agent(agent_id: int, lo, up, proposes: int, confidence: float = 0.0) -> dict:
     """Agent whose model always proposes the same class."""
-    model = PA1.build(2)
-    model.bias = 1.0 if proposes == 1 else -1.0
-    region = Hypercube(np.asarray(lo, dtype=float), np.asarray(up, dtype=float))
-    return ContextAgent(id=agent_id, region=region, model=model, confidence=confidence)
+    return agent_dict(agent_id, lo, up, bias=1.0 if proposes == 1 else -1.0, confidence=confidence)
 
 
-def inject(engine: Engine, *agents: ContextAgent) -> Engine:
-    engine.agents.extend(agents)
-    engine._next_id = max(a.id for a in agents) + 1
-    return engine
+def engine_with(*agents: dict, next_agent_id: int | None = None, **cfg_kwargs) -> Engine:
+    """An engine restored from a snapshot holding exactly ``agents``."""
+    cfg_kwargs.setdefault("resize_factor", 0.0)
+    if next_agent_id is None:
+        next_agent_id = max(a["id"] for a in agents) + 1
+    return Engine.from_snapshot({
+        "config": EngineConfig(**cfg_kwargs).to_dict(),
+        "model_config": PA1.to_dict(),
+        "dim": 2,
+        "cycle": 0,
+        "next_agent_id": next_agent_id,
+        "agents": list(agents),
+    })
+
+
+def agents_by_id(engine: Engine) -> dict[int, dict]:
+    return {a["id"]: a for a in engine.snapshot()["agents"]}
+
+
+def region(agent: dict) -> Hypercube:
+    return Hypercube(agent["region"]["lower"], agent["region"]["upper"])
 
 
 @st.composite
@@ -44,12 +71,10 @@ def lattice_populations(draw):
     for k in range(draw(st.integers(1, 6))):
         lo = np.array([draw(st.integers(-2, 1)) for _ in range(2)], dtype=float)
         size = np.array([draw(st.integers(1, 2)) for _ in range(2)], dtype=float)
-        model = PA1.build(2)
-        model.weights = np.array([draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in range(2)])
-        model.bias = draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        weights = [draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in range(2)]
+        bias = draw(st.sampled_from([-0.5, 0.0, 0.5]))
         confidence = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
-        agents.append(ContextAgent(id=k, region=Hypercube(lo, lo + size), model=model,
-                                   confidence=confidence))
+        agents.append(agent_dict(k, lo, lo + size, weights, bias, confidence))
     return agents
 
 
@@ -57,14 +82,13 @@ class TestSelectWinner:
     """The decision rule for covered points, driven through ``exploit_step``."""
 
     def test_single_agent_wins(self):
-        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
+        engine = engine_with(constant_agent(0, [0, 0], [1, 1], proposes=1))
         report = engine.exploit_step(np.array([0.5, 0.5]))
         assert (report.winner_id, report.prediction) == (0, 1)
         assert report.activated_ids == [0]
 
     def test_strict_argmax(self):
-        engine = inject(
-            make_engine(),
+        engine = engine_with(
             constant_agent(0, [0, 0], [1, 1], proposes=0, confidence=0.847),  # score ~0.7
             constant_agent(1, [0, 0], [1, 1], proposes=1, confidence=2.197),  # score ~0.9
         )
@@ -72,8 +96,7 @@ class TestSelectWinner:
         assert (report.winner_id, report.prediction) == (1, 1)
 
     def test_tie_resolved_by_vote(self):
-        engine = inject(
-            make_engine(),
+        engine = engine_with(
             constant_agent(0, [0, 0], [1, 1], proposes=0),
             constant_agent(1, [0, 0], [1, 1], proposes=1),
             constant_agent(2, [0, 0], [1, 1], proposes=1),
@@ -83,8 +106,7 @@ class TestSelectWinner:
         assert report.winner_id == 1  # lowest id among tied agents proposing class 1
 
     def test_vote_tie_prefers_smallest_class(self):
-        engine = inject(
-            make_engine(),
+        engine = engine_with(
             constant_agent(0, [0, 0], [1, 1], proposes=1),
             constant_agent(1, [0, 0], [1, 1], proposes=0),
         )
@@ -92,8 +114,8 @@ class TestSelectWinner:
         assert (report.winner_id, report.prediction) == (1, 0)
 
     def test_empty_set_rejected(self):
-        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
-        engine.agents.clear()
+        engine = engine_with(next_agent_id=1)  # its one agent is gone
+        assert len(engine.agents) == 0 and not engine.agents
         with pytest.raises(RuntimeError):
             engine.exploit_step(np.array([0.5, 0.5]))
         with pytest.raises(RuntimeError):
@@ -106,12 +128,12 @@ class TestIncompetence:
         x = np.array([0.3, 0.4])
         report = engine.explore_step(x, 1)
         assert len(engine.agents) == 1
-        agent = engine.agents[0]
-        assert np.allclose(agent.region.lower, [-0.2, -0.1])
-        assert np.allclose(agent.region.upper, [0.8, 0.9])
-        assert agent.region.volume() == pytest.approx(1.0, rel=1e-9)  # (2R)^p
-        assert agent.confidence == 0.0
-        assert agent.model.step_count == 1
+        [agent] = engine.snapshot()["agents"]
+        assert np.allclose(agent["region"]["lower"], [-0.2, -0.1])
+        assert np.allclose(agent["region"]["upper"], [0.8, 0.9])
+        assert region(agent).volume() == pytest.approx(1.0, rel=1e-9)  # (2R)^p
+        assert agent["confidence"] == 0.0
+        assert agent["model"]["step_count"] == 1
         assert report.activated_ids == []
         assert report.winner_id is None
         assert report.prediction == 1
@@ -119,60 +141,66 @@ class TestIncompetence:
         assert report.ncs_events[0].resolution is Resolution.CREATE
 
     def test_spawn_overlapping_same_class_pushes(self):
-        engine = make_engine(init_radius=0.5, overlap_threshold=0.5)
-        old = constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=5.0)
-        inject(engine, old)
-        _, events = engine.resolve_incompetence(np.array([1.2, 0.5]), 1)
-        kinds = [(e.kind, e.resolution) for e in events]
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=5.0),
+            init_radius=0.5, overlap_threshold=0.5,
+        )
+        report = engine.explore_step(np.array([1.2, 0.5]), 1)
+        kinds = [(e.kind, e.resolution) for e in report.ncs_events]
         assert (NcsKind.INCOMPETENCE, Resolution.CREATE) in kinds
         assert (NcsKind.COMPETITION, Resolution.PUSH) in kinds
-        new = engine.agents[-1]
-        assert old.region.intersection_volume(new.region) == 0.0
+        agents = agents_by_id(engine)
+        assert region(agents[0]).intersection_volume(region(agents[1])) == 0.0
 
     def test_spawn_inside_same_class_agent_is_absorbed(self):
-        engine = make_engine(init_radius=0.1, overlap_threshold=0.5)
+        # the created box [0.92, 1.12] x [-0.1, 0.1] lies 40% inside the old agent's
         old = constant_agent(0, [-1, -1], [1, 1], proposes=1, confidence=5.0)
-        inject(engine, old)
-        created, events = engine.resolve_incompetence(np.array([0.0, 0.0]), 1)
-        assert not created.alive
-        assert (NcsKind.COMPETITION, Resolution.ABSORB) in [(e.kind, e.resolution) for e in events]
-        assert engine.agents == [old]
+        engine = engine_with(old, init_radius=0.1, overlap_threshold=0.2)
+        report = engine.explore_step(np.array([1.02, 0.0]), 1)
+        assert report.ncs_events[0].participants == (1,)  # the created agent
+        assert (NcsKind.COMPETITION, Resolution.ABSORB) in [(e.kind, e.resolution) for e in report.ncs_events]
+        assert list(agents_by_id(engine)) == [0]
+        assert engine.agents.box(0).upper.tolist() == [1.02 + 0.1, 1.0]  # enclosed the created box
+        assert engine.agents.confidence[0] == old["confidence"]
 
 
 class TestCompetitionAndConflict:
     def test_heavy_same_class_overlap_absorbs(self):
-        engine = make_engine(overlap_threshold=0.5)
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1)
-        b = constant_agent(1, [0.25, 0], [0.75, 1], proposes=1)  # overlap index 1.0
-        inject(engine, a, b)
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1),
+            constant_agent(1, [0.25, 0], [0.75, 1], proposes=1),  # overlap index 1.0
+            overlap_threshold=0.5,
+        )
         report = engine.explore_step(np.array([0.5, 0.5]), 1)
         assert report.prediction == 1
         assert [(e.kind, e.resolution) for e in report.ncs_events] == [
             (NcsKind.COMPETITION, Resolution.ABSORB)
         ]
         assert report.ncs_events[0].participants == (0, 1)
-        assert engine.agents == [a]
-        assert not b.alive
+        assert list(agents_by_id(engine)) == [0]  # b is gone
         # absorber's region covers both previous regions
-        assert a.region.contains([0.0, 0.0]) and a.region.contains([1.0, 1.0])
+        a = engine.agents.box(0)
+        assert a.contains([0.0, 0.0]) and a.contains([1.0, 1.0])
 
     def test_light_same_class_overlap_pushes(self):
-        engine = make_engine(overlap_threshold=0.5)
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=1.0)
-        b = constant_agent(1, [0.8, 0], [1.8, 1], proposes=1)  # overlap index 0.2
-        inject(engine, a, b)
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=1.0),
+            constant_agent(1, [0.8, 0], [1.8, 1], proposes=1),  # overlap index 0.2
+            overlap_threshold=0.5,
+        )
         report = engine.explore_step(np.array([0.9, 0.5]), 1)
         assert [(e.kind, e.resolution) for e in report.ncs_events] == [
             (NcsKind.COMPETITION, Resolution.PUSH)
         ]
         assert len(engine.agents) == 2
-        assert a.region.intersection_volume(b.region) == 0.0
+        assert engine.agents.box(0).intersection_volume(engine.agents.box(1)) == 0.0
 
     def test_no_threshold_competition_always_pushes(self):
-        engine = make_engine(overlap_threshold=None)
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=1.0)
-        b = constant_agent(1, [0.05, 0], [0.95, 1], proposes=1)
-        inject(engine, a, b)
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1, confidence=1.0),
+            constant_agent(1, [0.05, 0], [0.95, 1], proposes=1),
+            overlap_threshold=None,
+        )
         report = engine.explore_step(np.array([0.5, 0.5]), 1)
         # fully contained pushee cannot be separated: push falls back to absorb
         assert [(e.kind, e.resolution) for e in report.ncs_events] == [
@@ -180,27 +208,30 @@ class TestCompetitionAndConflict:
         ]
 
     def test_conflict_pushes_loser_off(self):
-        engine = make_engine()
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1)
-        b = constant_agent(1, [0.5, 0], [1.5, 1], proposes=0)
-        inject(engine, a, b)
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1),
+            constant_agent(1, [0.5, 0], [1.5, 1], proposes=0),
+        )
         report = engine.explore_step(np.array([0.75, 0.5]), 1)  # a right, b wrong
         assert [(e.kind, e.resolution) for e in report.ncs_events] == [
             (NcsKind.CONFLICT, Resolution.PUSH)
         ]
         assert report.ncs_events[0].participants == (0, 1)
-        assert a.region.intersection_volume(b.region) == 0.0
-        assert b.region.contains([1.25, 0.5])  # kept the non-overlapping part
-        assert b.confidence == -engine.cfg.penalty_weight
-        assert a.confidence == engine.cfg.reward_weight
+        a, b = agents_by_id(engine).values()
+        assert region(a).intersection_volume(region(b)) == 0.0
+        assert region(b).contains([1.25, 0.5])  # kept the non-overlapping part
+        assert b["confidence"] == -engine.cfg.penalty_weight
+        assert a["confidence"] == engine.cfg.reward_weight
 
     def test_disjoint_pair_is_left_alone(self):
-        engine = make_engine()
-        a = constant_agent(0, [0, 0], [1, 1], proposes=1)
-        b = constant_agent(1, [2, 2], [3, 3], proposes=0)
-        inject(engine, a, b)
-        events = engine.resolve_pairwise([a, b], {0: 1, 1: 0})
-        assert events == []
+        # both boxes hold the point on their shared face, but touching is not overlapping
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1),
+            constant_agent(1, [1, 0], [2, 1], proposes=0),
+        )
+        report = engine.explore_step(np.array([1.0, 0.5]), 1)
+        assert report.activated_ids == [0, 1]
+        assert report.ncs_events == []
         assert len(engine.agents) == 2
 
 
@@ -220,13 +251,16 @@ class TestExploreInvariants:
             dim=2,
         )
         for x, y in zip(X, Y):
-            activated = [a for a in engine.agents if a.region.contains(x)]
-            proposals = {a.id: a.propose(x) for a in activated}
+            proposals = {
+                i: int(np.dot(a["model"]["weights"], x) + a["model"]["bias"] >= 0.0)
+                for i, a in agents_by_id(engine).items()
+                if region(a).contains(x)
+            }
             engine.explore_step(x, int(y))
-            alive = {a.id: a for a in engine.agents}
+            alive = agents_by_id(engine)
             for i, j in combinations(proposals, 2):
                 if proposals[i] != proposals[j] and i in alive and j in alive:
-                    assert alive[i].region.intersection_volume(alive[j].region) == 0.0
+                    assert region(alive[i]).intersection_volume(region(alive[j])) == 0.0
 
     def test_population_bounded_by_observations(self):
         X, Y = self.train_data()
@@ -244,7 +278,7 @@ class TestExploreInvariants:
             dim=2,
         )
         engine.train(X, Y)
-        ids = [a.id for a in engine.agents]
+        ids = engine.agents.id.tolist()
         assert len(ids) == len(set(ids))
         assert max(ids) < engine._next_id
 
@@ -273,17 +307,14 @@ class TestExploreInvariants:
 
 class TestExploitation:
     def test_single_covering_agent_answers(self):
-        engine = make_engine()
-        inject(engine, constant_agent(0, [0, 0], [1, 1], proposes=1))
+        engine = engine_with(constant_agent(0, [0, 0], [1, 1], proposes=1))
         report = engine.exploit_step(np.array([0.5, 0.5]))
         assert report.prediction == 1
         assert report.winner_id == 0
         assert report.ncs_events == []
 
     def test_uncovered_point_uses_nearest_agent(self):
-        engine = make_engine()
-        inject(
-            engine,
+        engine = engine_with(
             constant_agent(0, [0, 0], [1, 1], proposes=0),
             constant_agent(1, [4, 0], [5, 1], proposes=1),
         )
@@ -295,9 +326,7 @@ class TestExploitation:
         ]
 
     def test_equidistant_tie_prefers_lowest_id(self):
-        engine = make_engine()
-        inject(
-            engine,
+        engine = engine_with(
             constant_agent(0, [0, 0], [1, 1], proposes=0),
             constant_agent(1, [3, 0], [4, 1], proposes=1),
         )
@@ -343,8 +372,7 @@ class TestExploitation:
 
     def test_nearest_agent_sees_subnormal_gaps(self):
         # squared, both gaps underflow to 0 and agent 0 would win the distance tie
-        engine = inject(
-            make_engine(),
+        engine = engine_with(
             constant_agent(0, [1e-170, 0], [1, 1], proposes=0),
             constant_agent(1, [-1, 0], [-1e-200, 1], proposes=1),
         )
@@ -354,7 +382,7 @@ class TestExploitation:
         assert engine.predict_batch(x[None, :]).tolist() == [1]
 
     def test_zero_rows_give_empty_int_array(self):
-        engine = inject(make_engine(), constant_agent(0, [0, 0], [1, 1], proposes=1))
+        engine = engine_with(constant_agent(0, [0, 0], [1, 1], proposes=1))
         out = engine.predict_batch(np.empty((0, 2)))
         assert out.shape == (0,)
         assert out.dtype.kind == "i"
@@ -362,7 +390,7 @@ class TestExploitation:
     @given(lattice_populations(), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_batch_equals_single_points_across_blocks(self, agents, seed):
-        engine = inject(make_engine(), *agents)
+        engine = engine_with(*agents)
         # quarter-lattice points land on faces and corners, inside and outside
         X = np.round(np.random.default_rng(seed).uniform(-3.5, 3.5, size=(1500, 2)) * 4) / 4
         assert X.shape[0] > DECIDE_BLOCK_ROWS
@@ -393,7 +421,7 @@ class TestInputValidation:
             engine.explore_step([np.nan, 0.0], 1)
         assert engine.dim is None
         assert engine.percepts.mins is None
-        assert engine.cycle == 0 and engine.agents == []
+        assert engine.cycle == 0 and len(engine.agents) == 0
 
     def test_non_finite_training_row_rejected_up_front(self):
         X, Y = TestExploreInvariants.train_data(n=20)
@@ -401,7 +429,7 @@ class TestInputValidation:
         engine = Engine(EngineConfig(), PA1, dim=2)
         with pytest.raises(ValueError, match="non-finite"):
             engine.train(X, Y)
-        assert engine.cycle == 0 and engine.agents == []
+        assert engine.cycle == 0 and len(engine.agents) == 0
 
     def test_non_finite_point_rejected(self):
         engine = self.trained()
@@ -409,6 +437,18 @@ class TestInputValidation:
             engine.predict([np.nan, np.nan])
         with pytest.raises(ValueError, match="non-finite"):
             engine.predict_batch([[0.0, 0.0], [np.inf, 0.0]])
+
+    def test_non_binary_labels_rejected_before_training(self):
+        engine = self.trained()
+        before, count = engine.to_json(), engine.percepts.count
+        with pytest.raises(ValueError, match="label"):
+            engine.train([[0.0, 0.0], [1.0, 1.0]], [0.5, 1.7])
+        assert engine.to_json() == before
+        assert engine.percepts.count == count
+        fresh = Engine(EngineConfig(), PA1)
+        with pytest.raises(ValueError, match="label"):
+            fresh.train([[0.0, 0.0], [1.0, 1.0]], [1, 2])
+        assert fresh.dim is None and fresh.cycle == 0 and len(fresh.agents) == 0
 
     def test_wrong_dimension_rejected(self):
         engine = self.trained()
@@ -422,6 +462,61 @@ class TestInputValidation:
             engine.predict_batch([0.0, 0.0])
         with pytest.raises(ValueError, match="1-d point"):
             engine.predict([[0.0, 0.0]])
+
+
+def reachable_objects(root) -> int:
+    """Objects reachable from ``root``, breadth first, leaving out types and the shared configs.
+
+    Scalars count once per reference, so that two engines of the same
+    shape count the same whatever their values.
+    """
+    seen, queue, count = {id(root)}, deque([root]), 0
+    while queue:
+        obj = queue.popleft()
+        count += 1
+        for ref in gc.get_referents(obj):
+            if id(ref) in seen or isinstance(ref, (type, EngineConfig, LinearModelConfig)):
+                continue
+            if not isinstance(ref, (int, float, str)):
+                seen.add(id(ref))
+            queue.append(ref)
+    return count
+
+
+class TestPopulationInvariants:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans(),
+           st.sampled_from([None, 0.2, 0.5]))
+    @settings(max_examples=25, deadline=None)
+    def test_arrays_stay_consistent_over_random_streams(self, seed, dim, lattice, exclude, overlap):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(60, dim))
+        if lattice:  # shared faces and repeated points
+            X = np.round(X * 2) / 2
+        Y = rng.integers(0, 2, size=60)
+        cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=overlap,
+                           exclude_points=exclude)
+        engine = Engine(cfg, PA1)
+        for x, y in zip(X, Y):
+            engine.explore_step(x, int(y))
+            pop = engine.agents
+            m = len(pop)
+            assert all(getattr(pop, name).shape[0] == m for name in pop.FIELDS)
+            assert pop.lower.shape == pop.upper.shape == pop.weights.shape == (m, dim)
+            assert np.all(np.diff(pop.id) > 0)
+            assert np.all(pop.lower < pop.upper)
+            assert pop.score.tolist() == [_sigmoid(c) for c in pop.confidence.tolist()]
+            assert Engine.from_snapshot(engine.snapshot()).to_json() == engine.to_json()
+
+    def test_object_count_does_not_grow_with_the_population(self):
+        def trained(n, radius):
+            ds = standardize(gen_circles(n=n, noise=0.2, factor=0.5, seed=8))
+            cfg = EngineConfig(init_radius=radius, overlap_threshold=0.5, exclude_points=True,
+                               resize_factor=0.1, seed=5)
+            return Engine(cfg, PA1, dim=2).train(ds.X, ds.Y)
+
+        small, large = trained(100, 0.3), trained(1000, 0.1)
+        assert len(small.agents) < 50 and len(large.agents) > 300
+        assert reachable_objects(small) == reachable_objects(large)
 
 
 class TestDeterminismAndPersistence:
