@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Hypercube
+from .geometry import checked, exclude, rescale
 from .linear import LinearModelConfig, _sigmoid, linear_update
 
 
@@ -91,9 +91,10 @@ class Population:
     """The agents of one engine, one row each, in ascending id order.
 
     The arrays are sized exactly: a created agent is appended as the last
-    row and dead agents are dropped with one mask. Row operations reuse the
-    scalar :class:`Hypercube` and ``linear_update`` arithmetic, so every row
-    evolves bit for bit as a box and a model of its own would.
+    row and dead agents are dropped with one mask. Rows are reshaped in
+    place by the ``geometry`` box functions and trained by ``linear_update``,
+    so every row evolves bit for bit as a ``Hypercube`` and a model of its
+    own would.
     """
 
     #: Every array, in row-tuple order: name -> (dtype, whether a row holds a dim-vector).
@@ -112,23 +113,13 @@ class Population:
     def __len__(self) -> int:
         return self.id.size
 
-    def box(self, i: int) -> Hypercube:
-        """Row ``i``'s region, as a box of its own."""
-        return Hypercube(self.lower[i], self.upper[i])
-
-    def set_box(self, i: int, box: Hypercube) -> None:
-        self.lower[i] = box.lower
-        self.upper[i] = box.upper
-
-    def append(self, agent_id: int, box: Hypercube, cycle: int) -> int:
+    def append(self, agent_id: int, lower: np.ndarray, upper: np.ndarray, cycle: int) -> int:
         """Add an agent with a zero model and zero confidence as the last row; returns the row."""
-        self._extend([(agent_id, box.lower, box.upper, np.zeros(box.dim), 0.0, 0, 0.0, _sigmoid(0.0), cycle)])
+        row = (agent_id, lower, upper, np.zeros(lower.size), 0.0, 0, 0.0, _sigmoid(0.0), cycle)
+        for name, value in zip(self.FIELDS, row):
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate([old, np.asarray(value, dtype=old.dtype)[None]]))
         return len(self) - 1
-
-    def _extend(self, rows: list[tuple]) -> None:
-        """Append row tuples (``FIELDS`` order); a row of another dimension raises ``ValueError``."""
-        for (name, (dtype, _)), column in zip(self.FIELDS.items(), zip(*rows)):
-            setattr(self, name, np.concatenate([getattr(self, name), np.array(column, dtype=dtype)]))
 
     def drop(self, rows: set[int]) -> None:
         """Remove the given rows, applying one boolean mask to every array."""
@@ -158,14 +149,14 @@ class Population:
         self.confidence[i] += cfg.reward_weight if correct else -cfg.penalty_weight
         self.score[i] = _sigmoid(float(self.confidence[i]))
         if correct:
-            self.set_box(i, self.box(i).expand(cfg.resize_factor))
+            self.lower[i], self.upper[i] = rescale(self.lower[i], self.upper[i], cfg.resize_factor)
             if cfg.train_on_correct:
                 self.fit(i, x, y, model_cfg)
         elif cfg.exclude_points:
-            self.set_box(i, self.box(i).exclude(x, cfg.epsilon_scale))
+            self.lower[i], self.upper[i] = exclude(self.lower[i], self.upper[i], x, cfg.epsilon_scale)
         else:
             self.fit(i, x, y, model_cfg)
-            self.set_box(i, self.box(i).retract(cfg.resize_factor))
+            self.lower[i], self.upper[i] = rescale(self.lower[i], self.upper[i], -cfg.resize_factor)
 
     def to_dicts(self, model_cfg: LinearModelConfig) -> list[dict]:
         """One JSON-ready dict per agent, in row order."""
@@ -180,13 +171,15 @@ class Population:
     def from_dicts(cls, agents: list[dict], dim: int) -> "Population":
         """The population of ``to_dicts`` output, checked; rows sorted by id."""
         pop = cls(dim)
-        pop._extend([
+        rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
              d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])), d["creation_cycle"])
             for d in sorted(agents, key=lambda d: int(d["id"]))
-        ])
-        if not np.all(pop.lower < pop.upper):
-            raise ValueError("every lower bound must lie strictly below its upper bound")
+        ]
+        for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):
+            # concatenating onto the empty (0, dim) arrays rejects a row of another dimension
+            setattr(pop, name, np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)]))
+        checked(pop.lower, pop.upper)
         if np.any(np.diff(pop.id) <= 0):
             raise ValueError("agent ids must be unique")
         return pop

@@ -46,8 +46,8 @@ from typing import IO
 import numpy as np
 
 from .agents import EngineConfig, PerceptTracker, Population
-from .geometry import Hypercube
-from .linear import LinearModelConfig
+from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, push
+from .linear import LinearModelConfig, checked_points, checked_samples
 
 #: Maximal score difference still treated as a tie in winner selection.
 SCORE_TIE_TOL = 1e-12
@@ -131,9 +131,15 @@ class Engine:
 
     def explore_step(self, x, y: int) -> CycleReport:
         """Process one labeled observation and adapt the tiling."""
-        x = self._checked(x, ndim=1)
+        x = checked_points(x, 1, self.dim, "engine")
         if y not in CLASS_UNIVERSE:
             raise ValueError(f"label {y!r} outside class universe {CLASS_UNIVERSE}")
+        active = np.zeros(0, dtype=int)
+        if len(self.agents):
+            labels, winners, inside, votes = self._decide(x[None, :])
+            active = inside[0].nonzero()[0]
+        # an uncovered point's new region is checked before any state changes
+        bounds = None if active.size else around(x, self.cfg.init_radius)
         if self.dim is None:
             self.dim = x.size
             self.agents = Population(self.dim)
@@ -141,12 +147,8 @@ class Engine:
         pop = self.agents
         events: list[NcsEvent] = []
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
-        active = np.zeros(0, dtype=int)
-        if len(pop):
-            labels, winners, inside, votes = self._decide(x[None, :])
-            active = np.flatnonzero(inside[0])
-        if not active.size:
-            prediction = self._create(x, int(y), events, dead)
+        if bounds is not None:
+            prediction = self._create(x, int(y), bounds, events, dead)
             winner_id = None
         else:
             proposals = dict(zip(active.tolist(), votes[0, active].astype(int).tolist()))
@@ -163,34 +165,27 @@ class Engine:
 
     def train(self, X, Y, trace: IO | None = None) -> "Engine":
         """Run the configured number of shuffled exploration passes."""
-        X = self._checked(X, ndim=2)
-        Y = np.asarray(Y)
-        if X.shape[0] == 0:
-            raise ValueError("X must be a non-empty 2-d matrix")
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y row counts differ")
-        if not np.isin(Y, CLASS_UNIVERSE).all():
-            raise ValueError(f"every label must be one of {CLASS_UNIVERSE}")
+        X, labels = checked_samples(X, Y, self.dim, "engine")
         rng = np.random.default_rng(self.cfg.seed)
         for _ in range(self.cfg.exploration_passes):
             for i in rng.permutation(X.shape[0]):
-                report = self.explore_step(X[i], int(Y[i]))
+                report = self.explore_step(X[i], labels[i])
                 if trace is not None:
                     trace.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return self
 
-    def _create(self, x: np.ndarray, y: int, events: list[NcsEvent], dead: set[int]) -> int:
-        """Create an agent around an uncovered point, arbitrate its overlaps; returns its proposal."""
+    def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent], dead: set[int]) -> int:
+        """Create an agent of the checked ``bounds`` around ``x``, arbitrate its overlaps; returns its proposal."""
         pop = self.agents
-        c = pop.append(self._next_id, Hypercube.around(x, self.cfg.init_radius), self.cycle)
+        c = pop.append(self._next_id, *bounds, self.cycle)
         self._next_id += 1
         pop.fit(c, x, y, self.model_cfg)
         events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
         prediction = pop.propose(c, x)
         proposals = {c: prediction}
-        # the overlap test of Hypercube.intersection_volume(...) > 0.0, against every older row
-        widths = np.minimum(pop.upper[c], pop.upper[:c]) - np.maximum(pop.lower[c], pop.lower[:c])
-        rows = np.flatnonzero(np.all(widths > 0.0, axis=1))
+        # the overlap test of overlap_volume(...) > 0.0, against every older row
+        widths = overlap_widths(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
+        rows = (widths > 0.0).all(axis=1).nonzero()[0]
         rows = rows[np.prod(widths[rows], axis=1) > 0.0]  # a product of positive widths can underflow
         proposals.update((j, pop.propose(j, x)) for j in rows.tolist())
         self._resolve_pairs([(c, j) for j in rows.tolist()], proposals, events, dead)
@@ -207,18 +202,19 @@ class Engine:
                 continue
             if score[b] > score[a] or (score[a] == score[b] and b < a):
                 a, b = b, a  # a wins
-            win, lose = pop.box(a), pop.box(b)
-            if win.intersection_volume(lose) == 0.0:
+            win, lose = (pop.lower[a], pop.upper[a]), (pop.lower[b], pop.upper[b])
+            iv = overlap_volume(overlap_widths(*win, *lose))
+            if iv == 0.0:
                 continue
             same = proposals[a] == proposals[b]
             pushed = None
-            if not (same and threshold is not None and win.overlap_index(lose) > threshold):
-                pushed = win.push(lose)
+            if not (same and threshold is not None and overlap_index(iv, *win, *lose) > threshold):
+                pushed = push(*win, *lose)
             if pushed is None:  # heavy same-class overlap, or no single cut separates them
-                pop.set_box(a, win.enclose(lose))
+                pop.lower[a], pop.upper[a] = enclose(*win, *lose)
                 dead.add(b)
             else:
-                pop.set_box(b, pushed)
+                pop.lower[b], pop.upper[b] = pushed
             kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
             events.append(NcsEvent(kind, (ids[a], ids[b]), Resolution.ABSORB if pushed is None else Resolution.PUSH))
 
@@ -226,7 +222,7 @@ class Engine:
 
     def exploit_step(self, x) -> CycleReport:
         """Classify one point without mutating any agent."""
-        x = self._checked(x, ndim=1)
+        x = checked_points(x, 1, self.dim, "engine")
         labels, winners, inside, _ = self._decide(x[None, :])
         winner_id = int(self.agents.id[winners[0]])
         activated_ids = self.agents.id[inside[0]].tolist()
@@ -242,57 +238,41 @@ class Engine:
         Both go through ``_decide``, so covered, score-tied and uncovered
         rows all follow the one decision rule.
         """
-        return self._decide(self._checked(X, ndim=2))[0]
+        X = checked_points(X, 2, self.dim, "engine")
+        labels = np.empty(X.shape[0], dtype=int)
+        for start in range(0, X.shape[0], DECIDE_BLOCK_ROWS):
+            block = slice(start, start + DECIDE_BLOCK_ROWS)
+            labels[block] = self._decide(X[block])[0]
+        return labels
 
     def _decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Apply the decision rule to every row of a checked ``(rows, dim)`` matrix.
+        """Apply the decision rule to the rows of a checked block of at most ``DECIDE_BLOCK_ROWS`` rows.
 
-        Returns the class of each row, the population row of the agent
-        answering it, and the ``(rows, agents)`` masks of activation and of
-        class-1 proposals. Rows are in ascending id order, so the first
-        index of a tie is the lowest id.
+        Returns the class of each row (``True`` for class 1), the population
+        row of the agent answering it, and the ``(rows, agents)`` masks of
+        activation and of class-1 proposals. Rows are in ascending id order,
+        so the first index of a tie is the lowest id.
         """
         pop = self.agents
         if not len(pop):
             raise RuntimeError("engine has no agents; train before predicting")
         lower, upper, scores, weights, bias = pop.lower, pop.upper, pop.score, pop.weights, pop.bias
-        n, m = X.shape[0], len(pop)
-        labels = np.empty(n, dtype=int)
-        winners = np.empty(n, dtype=int)
-        inside = np.empty((n, m), dtype=bool)
-        votes = np.empty((n, m), dtype=bool)
-        for start in range(0, n, DECIDE_BLOCK_ROWS):
-            block = slice(start, start + DECIDE_BLOCK_ROWS)
-            rows = X[block, None, :]
-            ins, vote = inside[block], votes[block]
-            np.all((rows >= lower) & (rows <= upper), axis=2, out=ins)
-            np.greater_equal(X[block] @ weights.T + bias, 0.0, out=vote)
-            # on a covered row an agent that is not activated scores -inf, so never ties
-            masked = np.where(ins, scores, -np.inf)
-            tied = masked >= masked.max(axis=1, keepdims=True) - SCORE_TIE_TOL
-            label = 2 * np.sum(vote, axis=1, where=tied) > np.sum(tied, axis=1)  # even vote: class 0
-            winner = np.argmax(tied & (vote == label[:, None]), axis=1)
-            out = np.flatnonzero(~ins.any(axis=1))
-            if out.size:
-                gap = np.maximum(np.maximum(lower - rows[out], rows[out] - upper), 0.0)
-                # hypot keeps tiny gaps from underflowing the way squaring them would
-                winner[out] = np.argmin(np.hypot.reduce(gap, axis=2), axis=1)
-                label[out] = vote[out, winner[out]]
-            labels[block] = label
-            winners[block] = winner
+        rows = X[:, None, :]
+        inside = ((rows >= lower) & (rows <= upper)).all(axis=2)
+        votes = X @ weights.T + bias >= 0.0
+        # on a covered row an agent that is not activated scores -inf, so never ties
+        masked = np.where(inside, scores, -np.inf)
+        tied = masked >= masked.max(axis=1, keepdims=True) - SCORE_TIE_TOL
+        labels = 2 * votes.sum(axis=1, where=tied) > tied.sum(axis=1)  # even vote: class 0
+        winners = (tied & (votes == labels[:, None])).argmax(axis=1)
+        out = (~inside.any(axis=1)).nonzero()[0]
+        if out.size:
+            gap = lower - rows[out]  # reused in place: the (rows, agents, dim) temporaries are the block's largest
+            np.maximum(np.maximum(gap, rows[out] - upper, out=gap), 0.0, out=gap)
+            # hypot keeps tiny gaps from underflowing the way squaring them would
+            winners[out] = np.hypot.reduce(gap, axis=2).argmin(axis=1)
+            labels[out] = votes[out, winners[out]]
         return labels, winners, inside, votes
-
-    def _checked(self, X, ndim: int) -> np.ndarray:
-        """``X`` as a float array after checking its shape and that every value is finite."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != ndim:
-            expected = "a 1-d point" if ndim == 1 else "a 2-d matrix"
-            raise ValueError(f"expected {expected}, got an array of shape {X.shape}")
-        if self.dim is not None and X.shape[-1] != self.dim:
-            raise ValueError(f"points have dimension {X.shape[-1]}, engine has {self.dim}")
-        if not np.isfinite(X).all():
-            raise ValueError("input holds a non-finite value (nan or inf)")
-        return X
 
     # -- persistence -----------------------------------------------------
 

@@ -22,7 +22,7 @@ mix (elastic net); the bias is never shrunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -88,14 +88,7 @@ class LinearModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearModelConfig":
-        return cls(
-            kind=ModelKind(d["kind"]),
-            alpha_reg=d.get("alpha_reg", 1e-4),
-            penalty=Penalty(d.get("penalty", "l2")),
-            l1_ratio=d.get("l1_ratio", 0.15),
-            aggressiveness_c=d.get("aggressiveness_c", 1.0),
-            learning_rate0=d.get("learning_rate0", 0.01),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _sigmoid(z: float) -> float:
@@ -104,6 +97,31 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def checked_points(X, ndim: int, dim: int | None, owner: str) -> np.ndarray:
+    """``X`` as a float array, checked to be one point (``ndim`` 1) or rows of points (``ndim`` 2) of
+    dimension ``dim`` (any, if None) holding finite values; ``owner`` names the checker in errors."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != ndim:
+        raise ValueError(f"expected {'a 1-d point' if ndim == 1 else 'a 2-d matrix'}, got an array of shape {X.shape}")
+    if dim is not None and X.shape[-1] != dim:
+        raise ValueError(f"points have dimension {X.shape[-1]}, {owner} has {dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("input holds a non-finite value (nan or inf)")
+    return X
+
+
+def checked_samples(X, Y, dim: int | None, owner: str) -> tuple[np.ndarray, list[int]]:
+    """``checked_points`` rows ``X``, at least one, and their labels ``Y`` as a list, each 0 or 1."""
+    X, Y = checked_points(X, 2, dim, owner), np.asarray(Y)
+    if X.shape[0] == 0:
+        raise ValueError("X must be a non-empty 2-d matrix")
+    if Y.shape != (X.shape[0],):
+        raise ValueError(f"Y must be a vector of {X.shape[0]} labels, one per row of X, got shape {Y.shape}")
+    if not np.isin(Y, (0, 1)).all():
+        raise ValueError("every label must be 0 or 1")
+    return X, Y.astype(int).tolist()
 
 
 def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, x: np.ndarray, y: int) -> float:
@@ -168,7 +186,7 @@ class OnlineLinearModel:
 
     def decision_value(self, x) -> float:
         """Signed margin ``w . x + b``."""
-        x = self._check_point(x)
+        x = checked_points(x, 1, self.dim, "model")
         return float(self.weights @ x) + self.bias
 
     def predict(self, x) -> int:
@@ -181,7 +199,7 @@ class OnlineLinearModel:
 
     def partial_fit(self, x, y: int) -> "OnlineLinearModel":
         """Apply one update for the sample ``(x, y)`` and return self."""
-        x = self._check_point(x)
+        x = checked_points(x, 1, self.dim, "model")
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
         self.bias = linear_update(self.config, self.weights, self.bias, self.step_count, x, y)
@@ -189,17 +207,13 @@ class OnlineLinearModel:
         return self
 
     def fit(self, X, Y, epochs: int = 100, seed: int = 0) -> "OnlineLinearModel":
-        """Run ``epochs`` shuffled passes of single-sample updates."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("X must be a non-empty 2-d matrix")
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y row counts differ")
+        """Run ``epochs`` shuffled passes of single-sample updates, checking the samples once."""
+        X, labels = checked_samples(X, Y, self.dim, "model")
         rng = np.random.default_rng(seed)
         for _ in range(epochs):
             for i in rng.permutation(X.shape[0]):
-                self.partial_fit(X[i], int(Y[i]))
+                self.bias = linear_update(self.config, self.weights, self.bias, self.step_count, X[i], labels[i])
+                self.step_count += 1
         return self
 
     def to_dict(self) -> dict:
@@ -219,9 +233,3 @@ class OnlineLinearModel:
         model.bias = float(d["bias"])
         model.step_count = int(d.get("step_count", 0))
         return model
-
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != self.dim:
-            raise ValueError(f"point has dimension {x.size}, model has {self.dim}")
-        return x

@@ -7,6 +7,7 @@ import pytest
 
 from cooptile.agents import EngineConfig, PerceptTracker
 from cooptile.engine import Engine
+from cooptile.geometry import Hypercube
 from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
 
 TOL = 1e-9
@@ -23,6 +24,10 @@ def engine_with_agents(*confidences: float, lo=(0.0, 0.0), up=(1.0, 1.0), **cfg_
     snap = {"config": EngineConfig(**cfg_kwargs).to_dict(), "model_config": PA1.to_dict(), "dim": len(lo),
             "cycle": 0, "next_agent_id": len(agents), "agents": agents}
     return Engine.from_snapshot(snap)
+
+
+def box(engine: Engine, row: int) -> Hypercube:
+    return Hypercube(engine.agents.lower[row], engine.agents.upper[row])
 
 
 def give_feedback(engine: Engine, correct: bool, x) -> None:
@@ -54,15 +59,15 @@ class TestScore:
 class TestFeedback:
     def test_correct_with_zero_resize(self):
         engine = engine_with_agents(0.0, resize_factor=0.0, reward_weight=1.0)
-        volume = engine.agents.box(0).volume()
+        volume = box(engine, 0).volume()
         give_feedback(engine, True, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == 1.0
-        assert engine.agents.box(0).volume() == volume
+        assert box(engine, 0).volume() == volume
 
     def test_correct_grows_region_and_trains(self):
         engine = engine_with_agents(0.0, resize_factor=0.1)
         give_feedback(engine, True, np.array([0.5, 0.5]))
-        assert engine.agents.box(0).volume() == pytest.approx(1.1, rel=TOL)
+        assert box(engine, 0).volume() == pytest.approx(1.1, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_correct_without_model_update_when_disabled(self):
@@ -75,14 +80,14 @@ class TestFeedback:
         x = np.array([0.9, 0.5])
         give_feedback(engine, False, x)
         assert engine.agents.confidence[0] == -0.5
-        assert not engine.agents.box(0).contains(x)
+        assert not box(engine, 0).contains(x)
         assert engine.agents.step_count[0] == 0  # model untouched on exclusion
 
     def test_wrong_without_exclusion_shrinks_and_trains(self):
         engine = engine_with_agents(0.0, exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
         give_feedback(engine, False, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == -0.5
-        assert engine.agents.box(0).volume() == pytest.approx(0.9, rel=TOL)
+        assert box(engine, 0).volume() == pytest.approx(0.9, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_confidence_is_running_weighted_sum(self):

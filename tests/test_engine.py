@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -62,6 +63,10 @@ def agents_by_id(engine: Engine) -> dict[int, dict]:
 
 def region(agent: dict) -> Hypercube:
     return Hypercube(agent["region"]["lower"], agent["region"]["upper"])
+
+
+def row_box(engine: Engine, row: int) -> Hypercube:
+    return Hypercube(engine.agents.lower[row], engine.agents.upper[row])
 
 
 @st.composite
@@ -160,7 +165,7 @@ class TestIncompetence:
         assert report.ncs_events[0].participants == (1,)  # the created agent
         assert (NcsKind.COMPETITION, Resolution.ABSORB) in [(e.kind, e.resolution) for e in report.ncs_events]
         assert list(agents_by_id(engine)) == [0]
-        assert engine.agents.box(0).upper.tolist() == [1.02 + 0.1, 1.0]  # enclosed the created box
+        assert row_box(engine, 0).upper.tolist() == [1.02 + 0.1, 1.0]  # enclosed the created box
         assert engine.agents.confidence[0] == old["confidence"]
 
 
@@ -179,7 +184,7 @@ class TestCompetitionAndConflict:
         assert report.ncs_events[0].participants == (0, 1)
         assert list(agents_by_id(engine)) == [0]  # b is gone
         # absorber's region covers both previous regions
-        a = engine.agents.box(0)
+        a = row_box(engine, 0)
         assert a.contains([0.0, 0.0]) and a.contains([1.0, 1.0])
 
     def test_light_same_class_overlap_pushes(self):
@@ -193,7 +198,7 @@ class TestCompetitionAndConflict:
             (NcsKind.COMPETITION, Resolution.PUSH)
         ]
         assert len(engine.agents) == 2
-        assert engine.agents.box(0).intersection_volume(engine.agents.box(1)) == 0.0
+        assert row_box(engine, 0).intersection_volume(row_box(engine, 1)) == 0.0
 
     def test_no_threshold_competition_always_pushes(self):
         engine = engine_with(
@@ -381,6 +386,27 @@ class TestExploitation:
         assert engine.predict(x) == 1
         assert engine.predict_batch(x[None, :]).tolist() == [1]
 
+    def test_batch_memory_does_not_grow_with_rows(self):
+        # the serve lattice size: about 22,500 rows against 132 agents
+        rng = np.random.default_rng(4)
+        corners = rng.uniform(-3.0, 3.0, size=(132, 2))
+        engine = engine_with(*[constant_agent(k, lo, lo + 0.5, proposes=k % 2) for k, lo in enumerate(corners)])
+        block = rng.uniform(-3.5, 3.5, size=(DECIDE_BLOCK_ROWS, 2))
+        X = np.tile(block, (22, 1))
+
+        def peak(rows: np.ndarray) -> int:
+            tracemalloc.start()
+            try:
+                engine.predict_batch(rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, whole = peak(block), peak(X)
+        masks = 2 * X.shape[0] * len(engine.agents)  # bytes of whole-input activation and vote masks
+        assert whole < masks
+        assert whole < one + 8 * X.shape[0] + 2**16  # one block's temporaries plus the labels
+
     def test_zero_rows_give_empty_int_array(self):
         engine = engine_with(constant_agent(0, [0, 0], [1, 1], proposes=1))
         out = engine.predict_batch(np.empty((0, 2)))
@@ -422,6 +448,16 @@ class TestInputValidation:
         assert engine.dim is None
         assert engine.percepts.mins is None
         assert engine.cycle == 0 and len(engine.agents) == 0
+
+    def test_unrepresentable_first_region_changes_nothing(self):
+        # at 1e17 a half-width of 0.1 rounds away: the new region's bounds coincide
+        engine = Engine(EngineConfig(init_radius=0.1), PA1)
+        before = engine.snapshot()
+        with pytest.raises(ValueError, match="strictly below"):
+            engine.explore_step([1e17, 0.0], 1)
+        assert engine.dim is None
+        assert engine.percepts.count == 0
+        assert engine.snapshot() == before
 
     def test_non_finite_training_row_rejected_up_front(self):
         X, Y = TestExploreInvariants.train_data(n=20)
@@ -481,6 +517,25 @@ def reachable_objects(root) -> int:
                 seen.add(id(ref))
             queue.append(ref)
     return count
+
+
+class TestRowOperations:
+    def test_training_builds_no_hypercube(self, monkeypatch):
+        built = []
+        post_init = Hypercube.__post_init__
+
+        def counted(box):
+            built.append(box)
+            post_init(box)
+
+        monkeypatch.setattr(Hypercube, "__post_init__", counted)
+        ds = standardize(gen_circles(n=100, noise=0.2, factor=0.5, seed=8))
+        cfg = EngineConfig(init_radius=0.2, overlap_threshold=0.5, exclude_points=True,
+                           resize_factor=0.1, penalty_weight=1.0, seed=5, exploration_passes=2)
+        engine = Engine(cfg, PA1, dim=2).train(ds.X, ds.Y)
+        assert len(engine.agents) > 10 and built == []
+        Hypercube([0.0], [1.0])
+        assert len(built) == 1  # the counter sees a construction
 
 
 class TestPopulationInvariants:

@@ -227,6 +227,39 @@ class TestFit:
         with pytest.raises(ValueError):
             fresh(ModelKind.LOGIT).fit(np.empty((0, 2)), np.empty(0))
 
+    def test_matches_partial_fit_loop(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(40, 2))
+        Y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        for kind in ModelKind:
+            fitted = fresh(kind).fit(X, Y, epochs=5, seed=4)
+            looped = fresh(kind)
+            order = np.random.default_rng(4)
+            for _ in range(5):
+                for i in order.permutation(X.shape[0]):
+                    looped.partial_fit(X[i], int(Y[i]))
+            assert looped.to_dict() == fitted.to_dict()
+
+    @pytest.mark.parametrize("X,Y,match", [
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], [0, 1, 2], "label"),
+        ([[0.5, 1.0]], [1.7], "label"),
+        ([[0.0, 1.0], [np.nan, 0.0]], [0, 1], "non-finite"),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0], [1]], "vector of 2 labels"),
+    ])
+    def test_bad_input_rejected_before_any_update(self, X, Y, match):
+        m = fresh(ModelKind.LOGIT)
+        with pytest.raises(ValueError, match=match):
+            m.fit(X, Y, epochs=1, seed=1)
+        assert np.array_equal(m.weights, [0.0, 0.0])
+        assert m.bias == 0.0 and m.step_count == 0
+
+    def test_partial_fit_rejects_non_finite_point(self):
+        m = fresh(ModelKind.LOGIT)
+        with pytest.raises(ValueError, match="non-finite"):
+            m.partial_fit([np.nan, 0.0], 1)
+        assert np.array_equal(m.weights, [0.0, 0.0])
+        assert m.step_count == 0
+
 
 class TestConfigAndSerialization:
     def test_config_validation(self):
