@@ -1,7 +1,7 @@
 """Cooperative tiling of input space by box-shaped agents with online
 linear models, for non-linear binary classification."""
 
-from .agents import EngineConfig, Normalization, PerceptTracker, Population
+from .agents import EngineConfig, Population
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, load_csv, save_csv, standardize
 from .engine import CycleReport, Engine, NcsEvent, NcsKind, Resolution
 from .geometry import Hypercube
@@ -19,10 +19,8 @@ __all__ = [
     "ModelKind",
     "NcsEvent",
     "NcsKind",
-    "Normalization",
     "OnlineLinearModel",
     "Penalty",
-    "PerceptTracker",
     "Population",
     "Resolution",
     "gen_circles",

@@ -1,4 +1,4 @@
-"""Tiling agents, stored as arrays, plus input-extrema tracking.
+"""Tiling agents, stored as arrays, and the engine configuration.
 
 An agent is one row of the :class:`Population` arrays, which hold every
 agent of an engine in ascending id order: a box region ``[lower, upper]``,
@@ -12,18 +12,11 @@ selection and all geometric arbitration between agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .geometry import checked, exclude, rescale
 from .linear import LinearModelConfig, _sigmoid, linear_update
-
-
-class Normalization(str, Enum):
-    """Confidence-to-score squashing function."""
-
-    SIGMOID = "sigmoid"
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,6 @@ class EngineConfig:
     init_radius: float = 0.2
     overlap_threshold: float | None = None
     exclude_points: bool = False
-    normalization: Normalization = Normalization.SIGMOID
     resize_factor: float = 0.1
     reward_weight: float = 1.0
     penalty_weight: float = 0.5
@@ -53,7 +45,6 @@ class EngineConfig:
     train_on_correct: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normalization", Normalization(self.normalization))
         if self.init_radius <= 0:
             raise ValueError("init_radius must be positive")
         if self.overlap_threshold is not None and not 0.0 <= self.overlap_threshold <= 1.0:
@@ -72,7 +63,6 @@ class EngineConfig:
             "init_radius": float(self.init_radius),
             "overlap_threshold": None if self.overlap_threshold is None else float(self.overlap_threshold),
             "exclude_points": bool(self.exclude_points),
-            "normalization": self.normalization.value,
             "resize_factor": float(self.resize_factor),
             "reward_weight": float(self.reward_weight),
             "penalty_weight": float(self.penalty_weight),
@@ -84,6 +74,10 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":
+        """The config of ``to_dict`` output; also reads the ``"normalization": "sigmoid"`` of older files."""
+        d = dict(d)
+        if d.pop("normalization", "sigmoid") != "sigmoid":
+            raise ValueError("normalization must be 'sigmoid', the only score function")
         return cls(**d)
 
 
@@ -102,7 +96,6 @@ class Population:
         "id": (np.int64, False), "lower": (float, True), "upper": (float, True), "weights": (float, True),
         "bias": (float, False), "step_count": (np.int64, False), "confidence": (float, False),
         "score": (float, False),  # sigmoid(confidence), set whenever confidence changes
-        "creation_cycle": (np.int64, False),
     }
     __slots__ = tuple(FIELDS)
 
@@ -113,9 +106,9 @@ class Population:
     def __len__(self) -> int:
         return self.id.size
 
-    def append(self, agent_id: int, lower: np.ndarray, upper: np.ndarray, cycle: int) -> int:
+    def append(self, agent_id: int, lower: np.ndarray, upper: np.ndarray) -> int:
         """Add an agent with a zero model and zero confidence as the last row; returns the row."""
-        row = (agent_id, lower, upper, np.zeros(lower.size), 0.0, 0, 0.0, _sigmoid(0.0), cycle)
+        row = (agent_id, lower, upper, np.zeros(lower.size), 0.0, 0, 0.0, _sigmoid(0.0))
         for name, value in zip(self.FIELDS, row):
             old = getattr(self, name)
             setattr(self, name, np.concatenate([old, np.asarray(value, dtype=old.dtype)[None]]))
@@ -158,22 +151,21 @@ class Population:
             self.fit(i, x, y, model_cfg)
             self.lower[i], self.upper[i] = rescale(self.lower[i], self.upper[i], -cfg.resize_factor)
 
-    def to_dicts(self, model_cfg: LinearModelConfig) -> list[dict]:
+    def to_dicts(self) -> list[dict]:
         """One JSON-ready dict per agent, in row order."""
-        model = model_cfg.to_dict()
         return [
-            {"id": i, "region": {"lower": lo, "upper": up}, "confidence": c, "creation_cycle": cc,
-             "model": {**model, "weights": w, "bias": b, "step_count": t}}
-            for i, lo, up, w, b, t, c, _, cc in zip(*(getattr(self, name).tolist() for name in self.FIELDS))
+            {"id": i, "region": {"lower": lo, "upper": up}, "confidence": c,
+             "model": {"weights": w, "bias": b, "step_count": t}}
+            for i, lo, up, w, b, t, c, _ in zip(*(getattr(self, name).tolist() for name in self.FIELDS))
         ]
 
     @classmethod
     def from_dicts(cls, agents: list[dict], dim: int) -> "Population":
-        """The population of ``to_dicts`` output, checked; rows sorted by id."""
+        """The checked population of ``to_dicts`` output (keys only older files hold are ignored), sorted by id."""
         pop = cls(dim)
         rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
-             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])), d["creation_cycle"])
+             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])))
             for d in sorted(agents, key=lambda d: int(d["id"]))
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):
@@ -184,23 +176,3 @@ class Population:
             raise ValueError("agent ids must be unique")
         return pop
 
-
-@dataclass
-class PerceptTracker:
-    """Per-dimension running min/max of all observed inputs."""
-
-    mins: np.ndarray | None = None
-    maxs: np.ndarray | None = None
-    count: int = 0
-
-    def update(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if self.mins is None:
-            self.mins = x.copy()
-            self.maxs = x.copy()
-        else:
-            if x.size != self.mins.size:
-                raise ValueError(f"point has dimension {x.size}, tracker has {self.mins.size}")
-            self.mins = np.minimum(self.mins, x)
-            self.maxs = np.maximum(self.maxs, x)
-        self.count += 1

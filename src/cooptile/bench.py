@@ -57,7 +57,6 @@ def default_engine_grid() -> list[dict]:
             "init_radius": radius,
             "overlap_threshold": overlap,
             "exclude_points": exclude,
-            "normalization": "sigmoid",
             "resize_factor": resize,
             "reward_weight": 1.0,
             "penalty_weight": penalty,

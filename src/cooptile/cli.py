@@ -52,17 +52,12 @@ def gen_data(dataset, n, noise, factor, seed, do_standardize, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Result record JSON.")
 @click.option("--model-out", type=click.Path(dir_okay=False), default=None,
               help="Also save the best model refit on the full data.")
-@click.option("--trace", type=click.Path(dir_okay=False), default=None,
-              help="JSON-lines grid progress log.")
-def fit_linear(data, kind, cv, seed, epochs, out, model_out, trace):
+def fit_linear(data, kind, cv, seed, epochs, out, model_out):
     """Step 1: cross-validated grid search for one bare linear classifier."""
     ds = datasets.load_csv(data)
     record = bench.grid_search_linear(ds, ModelKind(kind), n_folds=cv, cv_seed=seed,
                                       fit_seed=seed, epochs=epochs)
     _write_json(out, record.to_dict())
-    if trace:
-        with open(trace, "w") as f:
-            f.write(json.dumps({"stage": "ALONE", "record": record.to_dict()}, sort_keys=True) + "\n")
     if model_out:
         model = LinearModelConfig(kind=ModelKind(kind), **record.best_params).build(ds.X.shape[1])
         model.fit(ds.X, ds.Y, epochs=epochs, seed=seed)

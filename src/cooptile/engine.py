@@ -45,7 +45,7 @@ from typing import IO
 
 import numpy as np
 
-from .agents import EngineConfig, PerceptTracker, Population
+from .agents import EngineConfig, Population
 from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, push
 from .linear import LinearModelConfig, checked_points, checked_samples
 
@@ -123,7 +123,6 @@ class Engine:
         self.model_cfg = model_cfg
         self.dim = dim
         self.agents = Population(dim or 0)
-        self.percepts = PerceptTracker()
         self.cycle = 0
         self._next_id = 0
 
@@ -143,7 +142,6 @@ class Engine:
         if self.dim is None:
             self.dim = x.size
             self.agents = Population(self.dim)
-        self.percepts.update(x)
         pop = self.agents
         events: list[NcsEvent] = []
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
@@ -177,7 +175,7 @@ class Engine:
     def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent], dead: set[int]) -> int:
         """Create an agent of the checked ``bounds`` around ``x``, arbitrate its overlaps; returns its proposal."""
         pop = self.agents
-        c = pop.append(self._next_id, *bounds, self.cycle)
+        c = pop.append(self._next_id, *bounds)
         self._next_id += 1
         pop.fit(c, x, y, self.model_cfg)
         events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
@@ -284,7 +282,7 @@ class Engine:
             "dim": self.dim,
             "cycle": int(self.cycle),
             "next_agent_id": int(self._next_id),
-            "agents": self.agents.to_dicts(self.model_cfg),
+            "agents": self.agents.to_dicts(),
         }
 
     def to_json(self) -> str:
@@ -292,10 +290,14 @@ class Engine:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Engine":
+        """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``."""
+        next_id, top = int(snap["next_agent_id"]), max((int(a["id"]) for a in snap["agents"]), default=-1)
+        if next_id <= top:  # checked before anything is built
+            raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
         cfg = EngineConfig.from_dict(snap["config"])
         model_cfg = LinearModelConfig.from_dict(snap["model_config"])
         engine = cls(cfg, model_cfg, dim=snap.get("dim"))
         engine.cycle = int(snap["cycle"])
-        engine._next_id = int(snap["next_agent_id"])
+        engine._next_id = next_id
         engine.agents = Population.from_dicts(snap["agents"], engine.dim or 0)
         return engine

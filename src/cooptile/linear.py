@@ -194,7 +194,8 @@ class OnlineLinearModel:
         return 1 if self.decision_value(x) >= 0.0 else 0
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        """``predict`` on every row of ``X``."""
+        X = checked_points(X, 2, self.dim, "model")
         return (X @ self.weights + self.bias >= 0.0).astype(int)
 
     def partial_fit(self, x, y: int) -> "OnlineLinearModel":

@@ -1,11 +1,11 @@
-"""Agent feedback arithmetic, scoring, and extrema tracking."""
+"""Agent feedback arithmetic, scoring, and the engine config."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cooptile.agents import EngineConfig, PerceptTracker
+from cooptile.agents import EngineConfig
 from cooptile.engine import Engine
 from cooptile.geometry import Hypercube
 from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
@@ -17,8 +17,8 @@ PA1 = LinearModelConfig(kind=ModelKind.PA_I)
 def engine_with_agents(*confidences: float, lo=(0.0, 0.0), up=(1.0, 1.0), **cfg_kwargs) -> Engine:
     """An engine restored from a snapshot of zero-model agents sharing one box."""
     agents = [
-        {"id": i, "region": {"lower": list(lo), "upper": list(up)}, "confidence": c, "creation_cycle": 0,
-         "model": {**PA1.to_dict(), "weights": [0.0] * len(lo), "bias": 0.0, "step_count": 0}}
+        {"id": i, "region": {"lower": list(lo), "upper": list(up)}, "confidence": c,
+         "model": {"weights": [0.0] * len(lo), "bias": 0.0, "step_count": 0}}
         for i, c in enumerate(confidences)
     ]
     snap = {"config": EngineConfig(**cfg_kwargs).to_dict(), "model_config": PA1.to_dict(), "dim": len(lo),
@@ -105,37 +105,6 @@ class TestFeedback:
         assert engine.agents.score[0] == _sigmoid(1.0 * n_good - 0.5 * n_bad)
 
 
-class TestPerceptTracker:
-    def test_first_point_sets_both_extrema(self):
-        tracker = PerceptTracker()
-        tracker.update([2.0, -1.0])
-        assert np.array_equal(tracker.mins, [2.0, -1.0])
-        assert np.array_equal(tracker.maxs, [2.0, -1.0])
-        assert tracker.count == 1
-
-    def test_componentwise_min_max(self):
-        tracker = PerceptTracker()
-        tracker.update([0.0, 0.0])
-        tracker.update([1.0, -1.0])
-        assert np.array_equal(tracker.mins, [0.0, -1.0])
-        assert np.array_equal(tracker.maxs, [1.0, 0.0])
-        assert tracker.count == 2
-
-    def test_repeats_leave_extrema_unchanged(self):
-        tracker = PerceptTracker()
-        for _ in range(5):
-            tracker.update([3.0, 4.0])
-        assert np.array_equal(tracker.mins, [3.0, 4.0])
-        assert np.array_equal(tracker.maxs, [3.0, 4.0])
-        assert tracker.count == 5
-
-    def test_dimension_mismatch(self):
-        tracker = PerceptTracker()
-        tracker.update([0.0, 0.0])
-        with pytest.raises(ValueError):
-            tracker.update([1.0])
-
-
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         cfg = EngineConfig()
@@ -161,6 +130,12 @@ class TestEngineConfig:
         cfg = EngineConfig(init_radius=0.5, overlap_threshold=0.2, exclude_points=True,
                            resize_factor=0.2, penalty_weight=2.0, seed=42)
         assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_older_files_normalization_key(self):
+        # older files carry "normalization": "sigmoid", the one score function there is
+        assert EngineConfig.from_dict({"normalization": "sigmoid", "seed": 3}) == EngineConfig(seed=3)
+        with pytest.raises(ValueError, match="normalization"):
+            EngineConfig.from_dict({"normalization": "tanh"})
 
     def test_grid_values_are_valid(self):
         # every cell of the benchmark engine grid must construct

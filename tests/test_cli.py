@@ -65,8 +65,7 @@ class TestFitCommands:
     def test_fit_mas_with_trace_and_engine_out(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(bench, "default_engine_grid", lambda: [
             {"init_radius": 0.2, "overlap_threshold": 0.5, "exclude_points": True,
-             "normalization": "sigmoid", "resize_factor": 0.1,
-             "reward_weight": 1.0, "penalty_weight": 1.0},
+             "resize_factor": 0.1, "reward_weight": 1.0, "penalty_weight": 1.0},
         ])
         data = gen(runner, tmp_path)
         alone = tmp_path / "alone.json"
@@ -115,8 +114,7 @@ class TestReproduce:
         )
         monkeypatch.setattr(bench, "default_engine_grid", lambda: [
             {"init_radius": 0.2, "overlap_threshold": 0.5, "exclude_points": False,
-             "normalization": "sigmoid", "resize_factor": 0.1,
-             "reward_weight": 1.0, "penalty_weight": 1.0},
+             "resize_factor": 0.1, "reward_weight": 1.0, "penalty_weight": 1.0},
         ])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 40, "epochs": 3, "exploration_passes": 1}))

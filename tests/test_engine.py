@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ def agent_dict(agent_id: int, lo, up, weights=(0.0, 0.0), bias=0.0, confidence: 
         "id": agent_id,
         "region": {"lower": [float(v) for v in lo], "upper": [float(v) for v in up]},
         "confidence": float(confidence),
-        "creation_cycle": 0,
-        "model": {**PA1.to_dict(), "weights": [float(w) for w in weights], "bias": float(bias), "step_count": 0},
+        "model": {"weights": [float(w) for w in weights], "bias": float(bias), "step_count": 0},
     }
 
 
@@ -432,13 +432,9 @@ class TestInputValidation:
 
     def test_non_finite_observation_changes_nothing(self):
         engine = self.trained()
-        mins, maxs = engine.percepts.mins.copy(), engine.percepts.maxs.copy()
         before = engine.to_json()  # cycle counter and agents
         with pytest.raises(ValueError, match="non-finite"):
             engine.explore_step([np.nan, 0.0], 1)
-        assert np.array_equal(engine.percepts.mins, mins)
-        assert np.array_equal(engine.percepts.maxs, maxs)
-        assert engine.percepts.count == 20
         assert engine.to_json() == before
 
     def test_first_observation_is_checked_before_dim_is_fixed(self):
@@ -446,7 +442,6 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="non-finite"):
             engine.explore_step([np.nan, 0.0], 1)
         assert engine.dim is None
-        assert engine.percepts.mins is None
         assert engine.cycle == 0 and len(engine.agents) == 0
 
     def test_unrepresentable_first_region_changes_nothing(self):
@@ -456,7 +451,6 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="strictly below"):
             engine.explore_step([1e17, 0.0], 1)
         assert engine.dim is None
-        assert engine.percepts.count == 0
         assert engine.snapshot() == before
 
     def test_non_finite_training_row_rejected_up_front(self):
@@ -476,11 +470,10 @@ class TestInputValidation:
 
     def test_non_binary_labels_rejected_before_training(self):
         engine = self.trained()
-        before, count = engine.to_json(), engine.percepts.count
+        before = engine.to_json()
         with pytest.raises(ValueError, match="label"):
             engine.train([[0.0, 0.0], [1.0, 1.0]], [0.5, 1.7])
         assert engine.to_json() == before
-        assert engine.percepts.count == count
         fresh = Engine(EngineConfig(), PA1)
         with pytest.raises(ValueError, match="label"):
             fresh.train([[0.0, 0.0], [1.0, 1.0]], [1, 2])
@@ -598,6 +591,31 @@ class TestDeterminismAndPersistence:
         engine = Engine(EngineConfig(init_radius=0.2), PA1, dim=2)
         engine.train(np.array([[0.4, -0.2]]), np.array([1]))
         assert engine.predict(np.array([0.4, -0.2])) == 1
+
+    @pytest.mark.parametrize("agent_ids,next_agent_id", [([0], 0), ([0, 3], 3), ([2, 5], 1)])
+    def test_next_agent_id_must_exceed_every_id(self, agent_ids, next_agent_id):
+        # a lower counter would hand a live agent's id to the next created agent
+        agents = [agent_dict(i, [2 * i, 0], [2 * i + 1, 1]) for i in agent_ids]
+        with pytest.raises(ValueError, match="next_agent_id"):
+            engine_with(*agents, next_agent_id=next_agent_id)
+        engine = engine_with(*agents, next_agent_id=max(agent_ids) + 1)
+        engine.explore_step([-5.0, -5.0], 1)  # uncovered: creates an agent
+        assert engine.agents.id.tolist() == [*agent_ids, max(agent_ids) + 1]
+
+    def test_snapshot_of_older_format_loads(self):
+        # written by the quickstart config on 20 circles points before snapshots dropped the
+        # config's "normalization", each agent's "creation_cycle" and its copy of the model config
+        old = json.loads((Path(__file__).parent / "data" / "old_format_snapshot.json").read_text())
+        engine = Engine.from_snapshot(old)
+        ds = standardize(gen_circles(n=20, noise=0.2, factor=0.5, seed=8))
+        X = np.vstack([ds.X, np.random.default_rng(0).uniform(-2.0, 2.0, size=(40, 2))])
+        labels = "000000000011111111110001010011111011110011011100000010000100"  # the older version's
+        assert "".join(map(str, engine.predict_batch(X).tolist())) == labels
+        del old["config"]["normalization"]
+        for agent in old["agents"]:
+            del agent["creation_cycle"]
+            agent["model"] = {k: agent["model"][k] for k in ("weights", "bias", "step_count")}
+        assert engine.to_json() == json.dumps(old, sort_keys=True)
 
 
 class TestEndToEndSmoke:

@@ -41,65 +41,62 @@ from cooptile.linear import LinearModelConfig
 
 CELLS = {
     "retract": {"init_radius": 0.2, "overlap_threshold": 0.5, "exclude_points": False,
-                "normalization": "sigmoid", "resize_factor": 0.1, "reward_weight": 1.0,
-                "penalty_weight": 1.0},
+                "resize_factor": 0.1, "reward_weight": 1.0, "penalty_weight": 1.0},
     "exclude": {"init_radius": 0.2, "overlap_threshold": 0.2, "exclude_points": True,
-                "normalization": "sigmoid", "resize_factor": 0.2, "reward_weight": 1.0,
-                "penalty_weight": 0.5},
+                "resize_factor": 0.2, "reward_weight": 1.0, "penalty_weight": 0.5},
     "still": {"init_radius": 0.2, "overlap_threshold": None, "exclude_points": False,
-              "normalization": "sigmoid", "resize_factor": 0.0, "reward_weight": 1.0,
-              "penalty_weight": 0.5, "train_on_correct": False},
+              "resize_factor": 0.0, "reward_weight": 1.0, "penalty_weight": 0.5, "train_on_correct": False},
 }
 
 GOLDEN = {
-    "moons/logit/retract": {"trace": "532549e3f6b6b5fe", "snapshot": "e0063a18b51068de", "lattice": "bb3acc7ef3b1b314", "exploit": "84fe1d0649769dda"},
-    "moons/logit/exclude": {"trace": "734ea4b29079dc10", "snapshot": "6ce065166dcb9d39", "lattice": "9d9525280fa46925", "exploit": "3966f481d87a5207"},
-    "moons/logit/still": {"trace": "5b0e845268cc108d", "snapshot": "cb399c2d5c4d2f39", "lattice": "e1f4776ddd4285b3", "exploit": "db91587606cfb5e9"},
-    "moons/linear_svm/retract": {"trace": "36e869356bfcef4b", "snapshot": "0a07dbad1860ce47", "lattice": "e0da3a7e0e7c11c2", "exploit": "84fe1d0649769dda"},
-    "moons/linear_svm/exclude": {"trace": "734ea4b29079dc10", "snapshot": "e8316eab7fe26b67", "lattice": "b92db79705a8f8da", "exploit": "3966f481d87a5207"},
-    "moons/linear_svm/still": {"trace": "07594593a46bb36e", "snapshot": "e35051f397ffac71", "lattice": "b31b86e4ce2b586d", "exploit": "db91587606cfb5e9"},
-    "moons/pa1/retract": {"trace": "36e869356bfcef4b", "snapshot": "f7d1f3f4d12de74d", "lattice": "e0da3a7e0e7c11c2", "exploit": "84fe1d0649769dda"},
-    "moons/pa1/exclude": {"trace": "77c6e450253df6e5", "snapshot": "bebd165c366f01a4", "lattice": "2130a8ff46d068d9", "exploit": "136ed0fcffd414b3"},
-    "moons/pa1/still": {"trace": "07594593a46bb36e", "snapshot": "5f9b6491d33ef731", "lattice": "b31b86e4ce2b586d", "exploit": "db91587606cfb5e9"},
-    "moons/pa2/retract": {"trace": "8e98188b6365f4d0", "snapshot": "09f496f64a98446e", "lattice": "d5effe21fe9fa30b", "exploit": "84fe1d0649769dda"},
-    "moons/pa2/exclude": {"trace": "77c6e450253df6e5", "snapshot": "ae594afa75da1b0b", "lattice": "2130a8ff46d068d9", "exploit": "136ed0fcffd414b3"},
-    "moons/pa2/still": {"trace": "6dcb331614967baf", "snapshot": "eab078e547d283b6", "lattice": "7790b3ee404e1b11", "exploit": "db91587606cfb5e9"},
-    "circles/logit/retract": {"trace": "dfad2f86623913d9", "snapshot": "e7311584f2562314", "lattice": "090b1d1b53795bce", "exploit": "a8701c8a4a26d555"},
-    "circles/logit/exclude": {"trace": "a15b74736a774609", "snapshot": "a8f2bb409a95af67", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
-    "circles/logit/still": {"trace": "bd7c9b384533befc", "snapshot": "412723d3727b6bbd", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
-    "circles/linear_svm/retract": {"trace": "dfad2f86623913d9", "snapshot": "2730da96514f8bed", "lattice": "090b1d1b53795bce", "exploit": "a8701c8a4a26d555"},
-    "circles/linear_svm/exclude": {"trace": "a15b74736a774609", "snapshot": "113f5e4d94c9a2fe", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
-    "circles/linear_svm/still": {"trace": "bd7c9b384533befc", "snapshot": "4d64e1198aee001f", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
-    "circles/pa1/retract": {"trace": "39d59f0d2977ef83", "snapshot": "684e8d48e7a339f7", "lattice": "5347004be7db84d9", "exploit": "b8b2b022c2794841"},
-    "circles/pa1/exclude": {"trace": "a15b74736a774609", "snapshot": "2d1463e4c06cf6f5", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
-    "circles/pa1/still": {"trace": "7f17754f4f93cde4", "snapshot": "2c06a1bac938c627", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
-    "circles/pa2/retract": {"trace": "1c1e2b9861597625", "snapshot": "3e8122626cb1cdef", "lattice": "8b41cabb854fdd04", "exploit": "b8b2b022c2794841"},
-    "circles/pa2/exclude": {"trace": "a15b74736a774609", "snapshot": "0a0519050908d04e", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
-    "circles/pa2/still": {"trace": "7f17754f4f93cde4", "snapshot": "dc0b4ff42cb3265c", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
-    "linear/logit/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "088fd76cbd57471c", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
-    "linear/logit/exclude": {"trace": "0fe31e43130e41f6", "snapshot": "ac2c4ff10882fb45", "lattice": "ceea0bb9217197e9", "exploit": "321eac2c1f2e9b30"},
-    "linear/logit/still": {"trace": "31279a93ee7a41cf", "snapshot": "1f178adf681b17a1", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
-    "linear/linear_svm/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "439d138864317f48", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
-    "linear/linear_svm/exclude": {"trace": "85f560b8e2cf31f5", "snapshot": "71a0fd866f59da23", "lattice": "0dc1a293988d4a14", "exploit": "321eac2c1f2e9b30"},
-    "linear/linear_svm/still": {"trace": "31279a93ee7a41cf", "snapshot": "3608fb4230261b9c", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
-    "linear/pa1/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "2237a1b891c1edc9", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
-    "linear/pa1/exclude": {"trace": "8306dd89c68eaab6", "snapshot": "5b387e1ca59bde8d", "lattice": "39996a416356fb46", "exploit": "3f44955cbe0faeff"},
-    "linear/pa1/still": {"trace": "31279a93ee7a41cf", "snapshot": "69719a3512afed8b", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
-    "linear/pa2/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "33fca998f308c224", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
-    "linear/pa2/exclude": {"trace": "8306dd89c68eaab6", "snapshot": "7975c9d10c978d97", "lattice": "ea36c1a6ef3e1209", "exploit": "3f44955cbe0faeff"},
-    "linear/pa2/still": {"trace": "31279a93ee7a41cf", "snapshot": "ddf5639500d94076", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
-    "moons4/logit/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "c461c92be7325c94", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
-    "moons4/logit/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "a70980e5d6cbfe92", "lattice": "055cb5470da23876", "exploit": "a36d1f9c1cd30980"},
-    "moons4/logit/still": {"trace": "13ace62ac0fc99b2", "snapshot": "6b567be9983e7c2b", "lattice": "e3139cbe29d8deb8", "exploit": "c72c3f337bed2da3"},
-    "moons4/linear_svm/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "61ea7e42ca934533", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
-    "moons4/linear_svm/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "389bb180a8d67239", "lattice": "f0b786d52addf540", "exploit": "a36d1f9c1cd30980"},
-    "moons4/linear_svm/still": {"trace": "13ace62ac0fc99b2", "snapshot": "4d036416760dab04", "lattice": "5a7af718c56655a2", "exploit": "c72c3f337bed2da3"},
-    "moons4/pa1/retract": {"trace": "a97879454281c734", "snapshot": "a3def71a5edb500f", "lattice": "25a0246eb14ce068", "exploit": "9a948eab36d62bed"},
-    "moons4/pa1/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "9719703c11910fa1", "lattice": "0b91ad1c763905fb", "exploit": "89ff49745f149db5"},
-    "moons4/pa1/still": {"trace": "abf6eeba7f2283ff", "snapshot": "7091f4812f889940", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
-    "moons4/pa2/retract": {"trace": "00025dfc3ac6886e", "snapshot": "4fa1bc59ec1a2c50", "lattice": "17d92256d309ca93", "exploit": "9a948eab36d62bed"},
-    "moons4/pa2/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "2a5652e8a065550e", "lattice": "478dff2c7db9d8a1", "exploit": "89ff49745f149db5"},
-    "moons4/pa2/still": {"trace": "65d254ade6218dc9", "snapshot": "160e8c198b9d6498", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
+    "moons/logit/retract": {"trace": "532549e3f6b6b5fe", "snapshot": "dd14887cadd578b3", "lattice": "bb3acc7ef3b1b314", "exploit": "84fe1d0649769dda"},
+    "moons/logit/exclude": {"trace": "734ea4b29079dc10", "snapshot": "5232161e54787665", "lattice": "9d9525280fa46925", "exploit": "3966f481d87a5207"},
+    "moons/logit/still": {"trace": "5b0e845268cc108d", "snapshot": "db76da2737980150", "lattice": "e1f4776ddd4285b3", "exploit": "db91587606cfb5e9"},
+    "moons/linear_svm/retract": {"trace": "36e869356bfcef4b", "snapshot": "c8435712cc977462", "lattice": "e0da3a7e0e7c11c2", "exploit": "84fe1d0649769dda"},
+    "moons/linear_svm/exclude": {"trace": "734ea4b29079dc10", "snapshot": "2dc5bbd913c8bddd", "lattice": "b92db79705a8f8da", "exploit": "3966f481d87a5207"},
+    "moons/linear_svm/still": {"trace": "07594593a46bb36e", "snapshot": "2d5e9dbc4d29e60e", "lattice": "b31b86e4ce2b586d", "exploit": "db91587606cfb5e9"},
+    "moons/pa1/retract": {"trace": "36e869356bfcef4b", "snapshot": "798393de01abd458", "lattice": "e0da3a7e0e7c11c2", "exploit": "84fe1d0649769dda"},
+    "moons/pa1/exclude": {"trace": "77c6e450253df6e5", "snapshot": "d886c25fda3ff21e", "lattice": "2130a8ff46d068d9", "exploit": "136ed0fcffd414b3"},
+    "moons/pa1/still": {"trace": "07594593a46bb36e", "snapshot": "d7a44fa551a1644a", "lattice": "b31b86e4ce2b586d", "exploit": "db91587606cfb5e9"},
+    "moons/pa2/retract": {"trace": "8e98188b6365f4d0", "snapshot": "3c10e3093a70a43a", "lattice": "d5effe21fe9fa30b", "exploit": "84fe1d0649769dda"},
+    "moons/pa2/exclude": {"trace": "77c6e450253df6e5", "snapshot": "0eb6bbf1cf2b2f9b", "lattice": "2130a8ff46d068d9", "exploit": "136ed0fcffd414b3"},
+    "moons/pa2/still": {"trace": "6dcb331614967baf", "snapshot": "5a83809e4af1aa0f", "lattice": "7790b3ee404e1b11", "exploit": "db91587606cfb5e9"},
+    "circles/logit/retract": {"trace": "dfad2f86623913d9", "snapshot": "c7407cfca7173ef9", "lattice": "090b1d1b53795bce", "exploit": "a8701c8a4a26d555"},
+    "circles/logit/exclude": {"trace": "a15b74736a774609", "snapshot": "5e8be2347b4405ab", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
+    "circles/logit/still": {"trace": "bd7c9b384533befc", "snapshot": "0d96e93290b1fbeb", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
+    "circles/linear_svm/retract": {"trace": "dfad2f86623913d9", "snapshot": "55e0fdf34fc02917", "lattice": "090b1d1b53795bce", "exploit": "a8701c8a4a26d555"},
+    "circles/linear_svm/exclude": {"trace": "a15b74736a774609", "snapshot": "d0019bd3914d1402", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
+    "circles/linear_svm/still": {"trace": "bd7c9b384533befc", "snapshot": "73c237516621f02b", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
+    "circles/pa1/retract": {"trace": "39d59f0d2977ef83", "snapshot": "d42a0d26fd3e7197", "lattice": "5347004be7db84d9", "exploit": "b8b2b022c2794841"},
+    "circles/pa1/exclude": {"trace": "a15b74736a774609", "snapshot": "d6de7b4788fd633d", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
+    "circles/pa1/still": {"trace": "7f17754f4f93cde4", "snapshot": "9230bc0920b43853", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
+    "circles/pa2/retract": {"trace": "1c1e2b9861597625", "snapshot": "4388a6a498e79665", "lattice": "8b41cabb854fdd04", "exploit": "b8b2b022c2794841"},
+    "circles/pa2/exclude": {"trace": "a15b74736a774609", "snapshot": "220daf429cc80478", "lattice": "a48b9b8c44efcb3b", "exploit": "298c80fccfca2ced"},
+    "circles/pa2/still": {"trace": "7f17754f4f93cde4", "snapshot": "126a6ec3bd416c68", "lattice": "0437bec9c88b2e89", "exploit": "6731c56ce25063af"},
+    "linear/logit/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "db998268ba3c0ccd", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
+    "linear/logit/exclude": {"trace": "0fe31e43130e41f6", "snapshot": "e1476d11df745f05", "lattice": "ceea0bb9217197e9", "exploit": "321eac2c1f2e9b30"},
+    "linear/logit/still": {"trace": "31279a93ee7a41cf", "snapshot": "413f903dfed0f6ca", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
+    "linear/linear_svm/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "104df47c6fa3c4fb", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
+    "linear/linear_svm/exclude": {"trace": "85f560b8e2cf31f5", "snapshot": "70baee675211c079", "lattice": "0dc1a293988d4a14", "exploit": "321eac2c1f2e9b30"},
+    "linear/linear_svm/still": {"trace": "31279a93ee7a41cf", "snapshot": "697b53e38e2d4d2a", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
+    "linear/pa1/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "f5ee730b506dc6ed", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
+    "linear/pa1/exclude": {"trace": "8306dd89c68eaab6", "snapshot": "7a739dfee25cb013", "lattice": "39996a416356fb46", "exploit": "3f44955cbe0faeff"},
+    "linear/pa1/still": {"trace": "31279a93ee7a41cf", "snapshot": "9b69df7447ce09da", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
+    "linear/pa2/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "6101236f2e29947a", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
+    "linear/pa2/exclude": {"trace": "8306dd89c68eaab6", "snapshot": "ff934eed846a8f2d", "lattice": "ea36c1a6ef3e1209", "exploit": "3f44955cbe0faeff"},
+    "linear/pa2/still": {"trace": "31279a93ee7a41cf", "snapshot": "4930d969933c4781", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
+    "moons4/logit/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "0dd6330d2f7d1efa", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
+    "moons4/logit/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "45e5cb42b0b0a742", "lattice": "055cb5470da23876", "exploit": "a36d1f9c1cd30980"},
+    "moons4/logit/still": {"trace": "13ace62ac0fc99b2", "snapshot": "240a8fffbc7c778b", "lattice": "e3139cbe29d8deb8", "exploit": "c72c3f337bed2da3"},
+    "moons4/linear_svm/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "9121c2f1046a6ed1", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
+    "moons4/linear_svm/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "c4e97cb290aa367b", "lattice": "f0b786d52addf540", "exploit": "a36d1f9c1cd30980"},
+    "moons4/linear_svm/still": {"trace": "13ace62ac0fc99b2", "snapshot": "5ed38999a9a96e3d", "lattice": "5a7af718c56655a2", "exploit": "c72c3f337bed2da3"},
+    "moons4/pa1/retract": {"trace": "a97879454281c734", "snapshot": "88b7d2fd995b7642", "lattice": "25a0246eb14ce068", "exploit": "9a948eab36d62bed"},
+    "moons4/pa1/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "ffd61ed1e7072159", "lattice": "0b91ad1c763905fb", "exploit": "89ff49745f149db5"},
+    "moons4/pa1/still": {"trace": "abf6eeba7f2283ff", "snapshot": "5d8ae8c6bf06de24", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
+    "moons4/pa2/retract": {"trace": "00025dfc3ac6886e", "snapshot": "fcb9f0334d71d7f2", "lattice": "17d92256d309ca93", "exploit": "9a948eab36d62bed"},
+    "moons4/pa2/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "307dc8b8db9afe47", "lattice": "478dff2c7db9d8a1", "exploit": "89ff49745f149db5"},
+    "moons4/pa2/still": {"trace": "65d254ade6218dc9", "snapshot": "2abfb412c4a8691b", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
 }
 
 DATASETS = (*bench.DATASET_NAMES, "moons4")

@@ -42,6 +42,18 @@ class TestDecisionAndPredict:
         with pytest.raises(ValueError):
             fresh(ModelKind.LOGIT).decision_value([1.0])
 
+    def test_predict_batch_rejects_non_finite_row(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh(ModelKind.LOGIT).predict_batch([[0.0, 0.0], [np.nan, 0.0]])
+
+    def test_predict_batch_rejects_single_point(self):
+        with pytest.raises(ValueError, match="2-d matrix"):
+            fresh(ModelKind.LOGIT).predict_batch([1.0, 2.0])
+
+    def test_predict_batch_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="points have dimension 3, model has 2"):
+            fresh(ModelKind.LOGIT).predict_batch(np.zeros((4, 3)))
+
     def test_scaling_leaves_predictions_unchanged(self):
         rng = np.random.default_rng(5)
         m = fresh(ModelKind.LINEAR_SVM)
