@@ -84,11 +84,12 @@ class EngineConfig:
 class Population:
     """The agents of one engine, one row each, in ascending id order.
 
-    The arrays are sized exactly: a created agent is appended as the last
-    row and dead agents are dropped with one mask. Rows are reshaped in
-    place by the ``geometry`` box functions and trained by ``linear_update``,
-    so every row evolves bit for bit as a ``Hypercube`` and a model of its
-    own would.
+    The arrays are views of the live rows of buffers with spare capacity:
+    a created agent is written into the next free row, the buffers growing
+    by a quarter when full, and dead agents are dropped by moving the
+    survivors up in place. Rows are reshaped in place by the ``geometry``
+    box functions and trained by ``linear_update``, so every row evolves
+    bit for bit as a ``Hypercube`` and a model of its own would.
     """
 
     #: Every array, in row-tuple order: name -> (dtype, whether a row holds a dim-vector).
@@ -97,29 +98,47 @@ class Population:
         "bias": (float, False), "step_count": (np.int64, False), "confidence": (float, False),
         "score": (float, False),  # sigmoid(confidence), set whenever confidence changes
     }
-    __slots__ = tuple(FIELDS)
+    #: Rows of a new population's buffers.
+    INITIAL_CAPACITY = 16
+    __slots__ = (*FIELDS, "_buffers")
 
     def __init__(self, dim: int):
-        for name, (dtype, vector) in self.FIELDS.items():
-            setattr(self, name, np.zeros((0, dim) if vector else 0, dtype=dtype))
+        self._buffers = {
+            name: np.zeros((self.INITIAL_CAPACITY, dim) if vector else self.INITIAL_CAPACITY, dtype=dtype)
+            for name, (dtype, vector) in self.FIELDS.items()
+        }
+        self._live(0)
 
     def __len__(self) -> int:
         return self.id.size
 
+    def _live(self, n: int) -> None:
+        """Point every public array at the first ``n`` rows of its buffer."""
+        for name, buffer in self._buffers.items():
+            setattr(self, name, buffer[:n])
+
     def append(self, agent_id: int, lower: np.ndarray, upper: np.ndarray) -> int:
         """Add an agent with a zero model and zero confidence as the last row; returns the row."""
-        row = (agent_id, lower, upper, np.zeros(lower.size), 0.0, 0, 0.0, _sigmoid(0.0))
-        for name, value in zip(self.FIELDS, row):
-            old = getattr(self, name)
-            setattr(self, name, np.concatenate([old, np.asarray(value, dtype=old.dtype)[None]]))
-        return len(self) - 1
+        n = len(self)
+        if n == self._buffers["id"].shape[0]:
+            for name, buffer in self._buffers.items():
+                # a quarter, not double: engines often outlive their training, spare rows and all
+                grown = np.zeros((n + n // 4 + 1, *buffer.shape[1:]), dtype=buffer.dtype)
+                grown[:n] = buffer
+                self._buffers[name] = grown
+        row = (agent_id, lower, upper, 0.0, 0.0, 0, 0.0, _sigmoid(0.0))
+        for buffer, value in zip(self._buffers.values(), row):
+            buffer[n] = value
+        self._live(n + 1)
+        return n
 
     def drop(self, rows: set[int]) -> None:
-        """Remove the given rows, applying one boolean mask to every array."""
-        keep = np.ones(len(self), dtype=bool)
-        keep[list(rows)] = False
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
+        """Remove the given rows, moving the later survivors up in place."""
+        first = min(rows)
+        survivors = [i for i in range(first, len(self)) if i not in rows]
+        for buffer in self._buffers.values():
+            buffer[first:first + len(survivors)] = buffer[survivors]
+        self._live(first + len(survivors))
 
     def propose(self, i: int, x: np.ndarray) -> int:
         """Row ``i``'s class proposal at ``x``: 1 when ``w . x + b >= 0``."""
@@ -170,7 +189,8 @@ class Population:
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):
             # concatenating onto the empty (0, dim) arrays rejects a row of another dimension
-            setattr(pop, name, np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)]))
+            pop._buffers[name] = np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)])
+        pop._live(len(rows))
         checked(pop.lower, pop.upper)
         if np.any(np.diff(pop.id) <= 0):
             raise ValueError("agent ids must be unique")

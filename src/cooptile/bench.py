@@ -80,6 +80,8 @@ def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
     if k > n:
         raise ValueError(f"cannot split {n} samples into {k} folds")
     rng = np.random.default_rng(seed)
@@ -389,6 +391,8 @@ def experiment_config(overrides: dict | None = None) -> dict:
     for key in _CONFIG_INT_KEYS:
         if not isinstance(config[key], int) or isinstance(config[key], bool):
             raise ValueError(f"config key {key!r} must be an integer, got {config[key]!r}")
+    if config["folds"] < 2:
+        raise ValueError("folds must be at least 2")
     if config["n"] < 2 * config["folds"]:
         raise ValueError("n too small for the requested fold count")
     if config["epochs"] < 0 or config["exploration_passes"] < 1 or config["jobs"] < 1:
@@ -396,6 +400,8 @@ def experiment_config(overrides: dict | None = None) -> dict:
     for key in ("noise_moons", "noise_circles", "circles_factor"):
         if not isinstance(config[key], (int, float)) or isinstance(config[key], bool):
             raise ValueError(f"config key {key!r} must be a number, got {config[key]!r}")
+    if config["noise_moons"] < 0 or config["noise_circles"] < 0:
+        raise ValueError("noise_moons and noise_circles must be non-negative")
     if not 0.0 < config["circles_factor"] < 1.0:
         raise ValueError("circles_factor must lie strictly between 0 and 1")
     return config

@@ -27,16 +27,17 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=int)
+        Y = np.asarray(self.Y)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
-        if self.X.shape[0] != self.Y.shape[0]:
+        if self.X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y row counts differ")
-        labels = set(np.unique(self.Y).tolist())
-        if not labels <= {0, 1}:
+        labels = set(np.unique(Y).tolist())
+        if not labels <= {0, 1}:  # checked before the cast to int, which would truncate 0.5 to 0
             raise ValueError(f"labels must be 0/1, got {sorted(labels)}")
         if labels != {0, 1}:
             raise ValueError("both classes must be present")
+        self.Y = Y.astype(int)
 
     @property
     def n(self) -> int:

@@ -133,6 +133,21 @@ class Engine:
         x = checked_points(x, 1, self.dim, "engine")
         if y not in CLASS_UNIVERSE:
             raise ValueError(f"label {y!r} outside class universe {CLASS_UNIVERSE}")
+        return self._explore(x, int(y))
+
+    def train(self, X, Y, trace: IO | None = None) -> "Engine":
+        """Run the configured number of shuffled exploration passes, checking the samples once."""
+        X, labels = checked_samples(X, Y, self.dim, "engine")
+        rows, rng = list(X), np.random.default_rng(self.cfg.seed)
+        for _ in range(self.cfg.exploration_passes):
+            for i in rng.permutation(len(rows)).tolist():
+                report = self._explore(rows[i], labels[i])
+                if trace is not None:
+                    trace.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+        return self
+
+    def _explore(self, x: np.ndarray, y: int) -> CycleReport:
+        """One exploration cycle on the checked point ``x`` with label ``y``."""
         active = np.zeros(0, dtype=int)
         if len(self.agents):
             labels, winners, inside, votes = self._decide(x[None, :])
@@ -146,31 +161,20 @@ class Engine:
         events: list[NcsEvent] = []
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
         if bounds is not None:
-            prediction = self._create(x, int(y), bounds, events, dead)
+            prediction = self._create(x, y, bounds, events, dead)
             winner_id = None
         else:
             proposals = dict(zip(active.tolist(), votes[0, active].astype(int).tolist()))
             winner_id = int(pop.id[winners[0]])
             prediction = int(labels[0])
             for i in active.tolist():
-                pop.feedback(i, proposals[i] == y, x, int(y), self.cfg, self.model_cfg)
+                pop.feedback(i, proposals[i] == y, x, y, self.cfg, self.model_cfg)
             self._resolve_pairs(list(combinations(active.tolist(), 2)), proposals, events, dead)
         report = CycleReport(self.cycle, pop.id[active].tolist(), winner_id, prediction, events)
         self.cycle += 1
         if dead:
             pop.drop(dead)
         return report
-
-    def train(self, X, Y, trace: IO | None = None) -> "Engine":
-        """Run the configured number of shuffled exploration passes."""
-        X, labels = checked_samples(X, Y, self.dim, "engine")
-        rng = np.random.default_rng(self.cfg.seed)
-        for _ in range(self.cfg.exploration_passes):
-            for i in rng.permutation(X.shape[0]):
-                report = self.explore_step(X[i], labels[i])
-                if trace is not None:
-                    trace.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-        return self
 
     def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent], dead: set[int]) -> int:
         """Create an agent of the checked ``bounds`` around ``x``, arbitrate its overlaps; returns its proposal."""
@@ -192,6 +196,8 @@ class Engine:
     def _resolve_pairs(self, pairs: list[tuple[int, int]], proposals: dict[int, int],
                        events: list[NcsEvent], dead: set[int]) -> None:
         """Arbitrate the overlapping pairs of rows, highest-scoring pair first."""
+        if not pairs:
+            return
         threshold, pop = self.cfg.overlap_threshold, self.agents
         score, ids = pop.score.tolist(), pop.id.tolist()
         # ids ascend with rows, so row order breaks score ties as id order does

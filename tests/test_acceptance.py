@@ -221,7 +221,7 @@ def test_criterion_7_full_reproduction(experiment):
     results_path = experiment["out_dir"] / "results.json"
     table_path = experiment["out_dir"] / "accuracy_table.csv"
     assert results_path.exists() and table_path.exists()
-    stored = json.load(open(results_path))
+    stored = json.loads(results_path.read_text())
     assert len(stored) == 24
     assert [r["mean_accuracy"] for r in stored] == [r.mean_accuracy for r in records]
     for record in records:

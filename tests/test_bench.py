@@ -58,6 +58,11 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(labels, 5, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            kfold_split(np.array([0, 1] * 10), k)
+
     def test_deterministic(self):
         labels = np.array([0, 1] * 30)
         a = kfold_split(labels, 5, seed=9)
@@ -263,6 +268,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             experiment_config({"exploration_passes": 0})
 
+    @pytest.mark.parametrize("overrides,match", [
+        ({"folds": 1}, "folds"),
+        ({"folds": 0}, "folds"),
+        ({"folds": -2}, "folds"),
+        ({"noise_moons": -0.1}, "non-negative"),
+        ({"noise_circles": -1}, "non-negative"),
+    ])
+    def test_out_of_range_values_rejected(self, overrides, match):
+        # each used to pass validation and fail later (or, for noise, act as 0)
+        with pytest.raises(ValueError, match=match):
+            experiment_config(overrides)
+
 
 class TestRunExperiment:
     MINI = {"n": 40, "epochs": 3, "exploration_passes": 1, "jobs": 1}
@@ -304,5 +321,5 @@ class TestRunExperiment:
 
     def test_record_roundtrip(self, tmp_path):
         records = self.run_mini(tmp_path / "out")
-        loaded = [ResultRecord.from_dict(d) for d in json.load(open(tmp_path / "out" / "results.json"))]
+        loaded = [ResultRecord.from_dict(d) for d in json.loads((tmp_path / "out" / "results.json").read_text())]
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]

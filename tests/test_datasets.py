@@ -176,3 +176,10 @@ class TestDatasetInvariants:
     def test_rejects_foreign_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 2]))
+
+    def test_rejects_fractional_labels(self):
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            Dataset([[0.0, 0.0], [1.0, 1.0]], [0.5, 1.7])
+
+    def test_accepts_integral_float_labels(self):
+        assert Dataset([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0]).Y.tolist() == [0, 1]

@@ -298,6 +298,20 @@ class TestExploreInvariants:
         with pytest.raises(ValueError):
             engine.explore_step(np.array([0.0, 0.0]), 2)
 
+    def test_train_writes_the_trace_of_an_explore_step_loop(self):
+        X, Y = self.train_data(n=50)
+        cfg = EngineConfig(init_radius=0.4, resize_factor=0.1, overlap_threshold=0.5, exclude_points=True,
+                           seed=4, exploration_passes=2)
+        trained, trace = Engine(cfg, PA1, dim=2), io.StringIO()
+        trained.train(X, Y, trace=trace)
+        stepped, lines = Engine(cfg, PA1, dim=2), []
+        order = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.exploration_passes):
+            for i in order.permutation(X.shape[0]):
+                lines.append(json.dumps(stepped.explore_step(X[i], int(Y[i])).to_dict(), sort_keys=True) + "\n")
+        assert trace.getvalue() == "".join(lines)
+        assert trained.to_json() == stepped.to_json()
+
     def test_trace_emits_one_line_per_cycle(self):
         X, Y = self.train_data(n=15)
         engine = Engine(EngineConfig(init_radius=0.3), PA1, dim=2)
@@ -479,6 +493,27 @@ class TestInputValidation:
             fresh.train([[0.0, 0.0], [1.0, 1.0]], [1, 2])
         assert fresh.dim is None and fresh.cycle == 0 and len(fresh.agents) == 0
 
+    @pytest.mark.parametrize("bad", ["late non-finite row", "wrong dimension", "late bad label",
+                                     "label count", "no rows"])
+    def test_bad_training_input_changes_nothing(self, bad):
+        # train checks all of its input before the first cycle, which runs unchecked
+        X, Y = TestExploreInvariants.train_data(n=20, seed=8)
+        if bad == "late non-finite row":
+            X[-1, 0] = np.nan
+        elif bad == "wrong dimension":
+            X = np.hstack([X, X[:, :1]])
+        elif bad == "late bad label":
+            Y[-1] = 2
+        elif bad == "label count":
+            Y = Y[:-1]
+        else:
+            X, Y = X[:0], Y[:0]
+        engine = self.trained()
+        before = engine.to_json()
+        with pytest.raises(ValueError):
+            engine.train(X, Y)
+        assert engine.to_json() == before
+
     def test_wrong_dimension_rejected(self):
         engine = self.trained()
         with pytest.raises(ValueError, match="dimension 3, engine has 2"):
@@ -554,6 +589,23 @@ class TestPopulationInvariants:
             assert np.all(pop.lower < pop.upper)
             assert pop.score.tolist() == [_sigmoid(c) for c in pop.confidence.tolist()]
             assert Engine.from_snapshot(engine.snapshot()).to_json() == engine.to_json()
+
+    def test_growth_and_compaction_keep_every_row(self):
+        # a twin rebuilt from the snapshot before every step holds exactly its live rows
+        ds = standardize(gen_circles(n=300, noise=0.2, factor=0.5, seed=8))
+        cfg = EngineConfig(init_radius=0.15, resize_factor=0.2, overlap_threshold=0.2, seed=3)
+        engine, capacities, absorptions = Engine(cfg, PA1, dim=2), set(), 0
+        for x, y in zip(ds.X, ds.Y):
+            twin = Engine.from_snapshot(engine.snapshot())
+            report = engine.explore_step(x, int(y))
+            assert twin.explore_step(x, int(y)) == report
+            assert engine.to_json() == twin.to_json()
+            absorptions += sum(e.resolution is Resolution.ABSORB for e in report.ncs_events)
+            pop = engine.agents
+            capacity = pop.id.base.shape[0]
+            assert all(getattr(pop, name).base.shape[0] == capacity for name in pop.FIELDS)
+            capacities.add(capacity)
+        assert len(pop) > 2 * pop.INITIAL_CAPACITY and len(capacities) > 3 and absorptions > 10
 
     def test_object_count_does_not_grow_with_the_population(self):
         def trained(n, radius):

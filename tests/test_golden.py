@@ -10,6 +10,13 @@ two exploration passes) and hashes four byte strings with sha256:
   Gaussian rows instead;
 * ``exploit`` — the ``exploit_step`` reports of 40 fixed probe points.
 
+A second table pins bare ``OnlineLinearModel.fit`` runs, which the
+benchmark records see only through rounded accuracies: the bytes of
+``weights``, ``bias`` and ``step_count`` after 30 shuffled epochs on
+moons (d = 2) and ``moons4`` (d = 4), for every kind under each penalty
+and without shrinkage (``alpha_reg=0``). The passive-aggressive kinds
+ignore shrinkage, so their four hashes agree.
+
 The cases cross the datasets, the four linear model kinds and the engine
 cells. Two cells come from the engine grid, one carving wrong points out
 (``exclude_points``) and one retracting instead; a third switches off
@@ -22,7 +29,7 @@ changes a hash.
 
 The hashes hold for the numpy float results of the machine that recorded
 them (x86-64, numpy 2.4); run ``python tests/test_golden.py`` to print the
-current table.
+current tables.
 """
 
 from __future__ import annotations
@@ -99,6 +106,41 @@ GOLDEN = {
     "moons4/pa2/still": {"trace": "65d254ade6218dc9", "snapshot": "2abfb412c4a8691b", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
 }
 
+LINEAR_GOLDEN = {
+    "moons/logit/l1": "0f5f017a2d1a8e98",
+    "moons/logit/l2": "4a93602cd36f6f35",
+    "moons/logit/elasticnet": "da40f7dd9dc0b99d",
+    "moons/logit/none": "a22ab7f6bf436caf",
+    "moons/linear_svm/l1": "d5e1b3b313aa2941",
+    "moons/linear_svm/l2": "f3cfd10acfc4ede8",
+    "moons/linear_svm/elasticnet": "6dde2ebf85ffcd73",
+    "moons/linear_svm/none": "dfa3ab6ad9be8fab",
+    "moons/pa1/l1": "24508b5367b88f47",
+    "moons/pa1/l2": "24508b5367b88f47",
+    "moons/pa1/elasticnet": "24508b5367b88f47",
+    "moons/pa1/none": "24508b5367b88f47",
+    "moons/pa2/l1": "ba535e6dc48b0285",
+    "moons/pa2/l2": "ba535e6dc48b0285",
+    "moons/pa2/elasticnet": "ba535e6dc48b0285",
+    "moons/pa2/none": "ba535e6dc48b0285",
+    "moons4/logit/l1": "18ef4a97a4887b53",
+    "moons4/logit/l2": "831860020897397c",
+    "moons4/logit/elasticnet": "09090605815bf711",
+    "moons4/logit/none": "92e7f4ef8469f724",
+    "moons4/linear_svm/l1": "21273b83074dc22e",
+    "moons4/linear_svm/l2": "19d8101c4283ab22",
+    "moons4/linear_svm/elasticnet": "8c31ef74b3cd3b1e",
+    "moons4/linear_svm/none": "21e6500d36df0068",
+    "moons4/pa1/l1": "40ad4338cc02c2fe",
+    "moons4/pa1/l2": "40ad4338cc02c2fe",
+    "moons4/pa1/elasticnet": "40ad4338cc02c2fe",
+    "moons4/pa1/none": "40ad4338cc02c2fe",
+    "moons4/pa2/l1": "08a910c41a460cc6",
+    "moons4/pa2/l2": "08a910c41a460cc6",
+    "moons4/pa2/elasticnet": "08a910c41a460cc6",
+    "moons4/pa2/none": "08a910c41a460cc6",
+}
+
 DATASETS = (*bench.DATASET_NAMES, "moons4")
 
 CASES = [
@@ -106,6 +148,22 @@ CASES = [
     for name in DATASETS
     for kind in bench.KINDS
     for cell in CELLS
+]
+
+
+#: Shrinkage settings of the bare-fit cases: name -> config overrides.
+SHRINKAGE = {
+    "l1": {"alpha_reg": 0.01, "penalty": "l1"},
+    "l2": {"alpha_reg": 0.01, "penalty": "l2"},
+    "elasticnet": {"alpha_reg": 0.01, "penalty": "elasticnet"},
+    "none": {"alpha_reg": 0.0},
+}
+
+LINEAR_CASES = [
+    (name, kind.value, shrink)
+    for name in ("moons", "moons4")
+    for kind in bench.KINDS
+    for shrink in SHRINKAGE
 ]
 
 
@@ -145,6 +203,19 @@ def run_case(name: str, kind: str, cell: str) -> dict[str, str]:
     }
 
 
+def run_linear_case(name: str, kind: str, shrink: str) -> str:
+    X, Y = dataset(name)
+    cfg = LinearModelConfig(kind=kind, learning_rate0=0.05, aggressiveness_c=0.5, **SHRINKAGE[shrink])
+    model = cfg.build(X.shape[1]).fit(X, Y, epochs=30, seed=19)
+    state = model.weights.tobytes() + np.float64(model.bias).tobytes() + np.int64(model.step_count).tobytes()
+    return _sha(state)
+
+
+@pytest.mark.parametrize("name,kind,shrink", LINEAR_CASES, ids=["-".join(c) for c in LINEAR_CASES])
+def test_linear_fit_matches_golden_hashes(name, kind, shrink):
+    assert run_linear_case(name, kind, shrink) == LINEAR_GOLDEN[f"{name}/{kind}/{shrink}"]
+
+
 @pytest.mark.parametrize("name,kind,cell", CASES, ids=["-".join(c) for c in CASES])
 def test_run_matches_golden_hashes(name, kind, cell):
     assert run_case(name, kind, cell) == GOLDEN[f"{name}/{kind}/{cell}"]
@@ -153,3 +224,5 @@ def test_run_matches_golden_hashes(name, kind, cell):
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{"/".join(case)}": {json.dumps(run_case(*case))},')
+    for case in LINEAR_CASES:
+        print(f'    "{"/".join(case)}": "{run_linear_case(*case)}",')
