@@ -11,6 +11,7 @@ selection and all geometric arbitration between agents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,14 @@ class EngineConfig:
     train_on_correct: bool = True
 
     def __post_init__(self) -> None:
-        if self.init_radius <= 0:
-            raise ValueError("init_radius must be positive")
+        if not 0 < self.init_radius < math.inf:
+            raise ValueError("init_radius must be positive and finite")
         if self.overlap_threshold is not None and not 0.0 <= self.overlap_threshold <= 1.0:
             raise ValueError("overlap_threshold must lie in [0, 1] or be None")
         if not 0.0 <= self.resize_factor < 1.0:
             raise ValueError("resize_factor must lie in [0, 1)")
-        if self.reward_weight < 0 or self.penalty_weight < 0:
-            raise ValueError("feedback weights must be non-negative")
+        if not (0 <= self.reward_weight < math.inf and 0 <= self.penalty_weight < math.inf):
+            raise ValueError("feedback weights must be non-negative and finite")
         if not 0.0 < self.epsilon_scale < 0.5:
             raise ValueError("epsilon_scale must lie in (0, 0.5)")
         if self.exploration_passes < 1:
@@ -88,8 +89,9 @@ class Population:
     a created agent is written into the next free row, the buffers growing
     by a quarter when full, and dead agents are dropped by moving the
     survivors up in place. Rows are reshaped in place by the ``geometry``
-    box functions and trained by ``linear_update``, so every row evolves
-    bit for bit as a ``Hypercube`` and a model of its own would.
+    box functions and trained by ``linear_update``, the update rule of
+    ``OnlineLinearModel``, so every row's model evolves bit for bit as a
+    model of its own would.
     """
 
     #: Every array, in row-tuple order: name -> (dtype, whether a row holds a dim-vector).
@@ -191,6 +193,8 @@ class Population:
             # concatenating onto the empty (0, dim) arrays rejects a row of another dimension
             pop._buffers[name] = np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)])
         pop._live(len(rows))
+        if not all(np.isfinite(a).all() for a in (pop.lower, pop.upper, pop.weights, pop.bias, pop.confidence)):
+            raise ValueError("agent bounds, models and confidences must be finite")
         checked(pop.lower, pop.upper)
         if np.any(np.diff(pop.id) <= 0):
             raise ValueError("agent ids must be unique")

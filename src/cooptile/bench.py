@@ -400,8 +400,8 @@ def experiment_config(overrides: dict | None = None) -> dict:
     for key in ("noise_moons", "noise_circles", "circles_factor"):
         if not isinstance(config[key], (int, float)) or isinstance(config[key], bool):
             raise ValueError(f"config key {key!r} must be a number, got {config[key]!r}")
-    if config["noise_moons"] < 0 or config["noise_circles"] < 0:
-        raise ValueError("noise_moons and noise_circles must be non-negative")
+    if not (0 <= config["noise_moons"] < math.inf and 0 <= config["noise_circles"] < math.inf):
+        raise ValueError("noise_moons and noise_circles must be non-negative and finite")
     if not 0.0 < config["circles_factor"] < 1.0:
         raise ValueError("circles_factor must lie strictly between 0 and 1")
     return config

@@ -10,6 +10,7 @@ evenly as possible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,13 @@ def _split(n: int) -> tuple[int, int]:
     return n - n // 2, n // 2
 
 
+def _jitter(X: np.ndarray, noise: float, seed: int) -> np.ndarray:
+    """``X`` plus Gaussian noise of standard deviation ``noise``; ``X`` itself at noise 0."""
+    if not 0 <= noise < math.inf:
+        raise ValueError("noise must be non-negative and finite")
+    return X + np.random.default_rng(seed).normal(0.0, noise, X.shape) if noise > 0 else X
+
+
 def gen_moons(n: int = 100, noise: float = 0.3, seed: int = 0) -> Dataset:
     """Two interleaved half-moon arcs with Gaussian jitter.
 
@@ -67,8 +75,7 @@ def gen_moons(n: int = 100, noise: float = 0.3, seed: int = 0) -> Dataset:
         ]
     )
     Y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    if noise > 0:
-        X = X + np.random.default_rng(seed).normal(0.0, noise, X.shape)
+    X = _jitter(X, noise, seed)
     meta = {"generator": "moons", "n": n, "noise": noise, "seed": seed}
     return Dataset(X, Y, meta=meta)
 
@@ -87,8 +94,7 @@ def gen_circles(n: int = 100, noise: float = 0.2, factor: float = 0.5, seed: int
         ]
     )
     Y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    if noise > 0:
-        X = X + np.random.default_rng(seed).normal(0.0, noise, X.shape)
+    X = _jitter(X, noise, seed)
     meta = {"generator": "circles", "n": n, "noise": noise, "factor": factor, "seed": seed}
     return Dataset(X, Y, meta=meta)
 

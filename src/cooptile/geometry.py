@@ -5,8 +5,9 @@ A box is the activation region of one tiling agent: bound vectors with
 while overlap is measured by volume, so boxes sharing only a face are
 disjoint. The functions take bound vectors, so the engine reshapes the rows
 of its population arrays in place; each returns new bounds, checked to keep
-``lower < upper`` (``ValueError`` otherwise). :class:`Hypercube`, the public
-value type, is an immutable pair of bound vectors over the same functions.
+``lower < upper`` (``ValueError`` otherwise). These functions are the box
+API; :class:`Hypercube`, a checked read-only pair of bound vectors with a
+membership test, remains only while ``perfbench/test_perfbench.py`` uses it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def push(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray, other_up
     return _cut(other_lower, other_upper, j, side, up[j] if side == 0 else lo[j])
 
 
-def exclude(lower: np.ndarray, upper: np.ndarray, x: np.ndarray, epsilon_scale: float = 1e-6) -> Bounds:
+def exclude(lower: np.ndarray, upper: np.ndarray, x: np.ndarray, epsilon_scale: float) -> Bounds:
     """Bounds carved so that ``x`` falls strictly outside: one bound moves just past ``x``, by
     ``epsilon_scale`` times that side's length. The cut removing the least volume wins (ties:
     lowest dimension, then the lower bound). The bounds themselves when ``x`` is outside."""
@@ -134,7 +135,7 @@ def enclose(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray, other
 
 @dataclass(frozen=True, slots=True)
 class Hypercube:
-    """Box ``[lower[j], upper[j]]`` per axis, with ``lower[j] < upper[j]``."""
+    """Box ``[lower[j], upper[j]]`` per axis, with ``lower[j] < upper[j]``: checked, read-only bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -152,81 +153,9 @@ class Hypercube:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @classmethod
-    def around(cls, center: np.ndarray, half_width: float) -> "Hypercube":
-        """Box of the given half-width centred on a point."""
-        return cls(*around(np.asarray(center, dtype=float), half_width))
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lower + self.upper) / 2.0
-
-    def volume(self) -> float:
-        """Product of side lengths; always strictly positive."""
-        return volume(self.lower, self.upper)
-
     def contains(self, x) -> bool:
         """Closed-bounds membership: true on faces and corners too."""
-        return contains(self.lower, self.upper, self._check_point(x))
-
-    def expand(self, factor: float) -> "Hypercube":
-        """Grow isotropically about the center so volume becomes ``(1 + factor) * volume``."""
-        if factor < 0:
-            raise ValueError("expand factor must be non-negative")
-        return self._with(rescale(self.lower, self.upper, factor))
-
-    def retract(self, factor: float) -> "Hypercube":
-        """Shrink isotropically about the center so volume becomes ``(1 - factor) * volume``."""
-        if not 0.0 <= factor < 1.0:
-            raise ValueError("retract factor must lie in [0, 1)")
-        return self._with(rescale(self.lower, self.upper, -factor))
-
-    def intersection_volume(self, other: "Hypercube") -> float:
-        """Volume of the overlap region; 0.0 for disjoint or merely touching boxes."""
-        self._check_same_dim(other)
-        return overlap_volume(overlap_widths(self.lower, self.upper, other.lower, other.upper))
-
-    def overlap_index(self, other: "Hypercube") -> float:
-        """Intersection volume over the smaller box's volume; symmetric, in [0, 1]."""
-        return overlap_index(self.intersection_volume(other), self.lower, self.upper, other.lower, other.upper)
-
-    def push(self, other: "Hypercube") -> "Hypercube | None":
-        """``other`` separated from this box as :func:`push` does; unchanged if they do not overlap."""
-        if self.intersection_volume(other) == 0.0:
-            return other
-        pushed = push(self.lower, self.upper, other.lower, other.upper)
-        return None if pushed is None else Hypercube(*pushed)
-
-    def exclude(self, x, epsilon_scale: float = 1e-6) -> "Hypercube":
-        """The box carved as :func:`exclude` does, so that ``x`` falls strictly outside."""
-        return self._with(exclude(self.lower, self.upper, self._check_point(x), epsilon_scale))
-
-    def enclose(self, other: "Hypercube") -> "Hypercube":
-        """Smallest box containing both inputs (componentwise min/max)."""
-        self._check_same_dim(other)
-        return Hypercube(*enclose(self.lower, self.upper, other.lower, other.upper))
-
-    def distance_to(self, x) -> float:
-        """Euclidean distance from ``x`` to the box; 0 iff the point is inside."""
-        x = self._check_point(x)
-        outside = np.maximum(np.maximum(self.lower - x, x - self.upper), 0.0)
-        # hypot, not the root of summed squares: a tiny gap must not underflow to 0
-        return float(np.hypot.reduce(outside))
-
-    def _with(self, bounds: Bounds) -> "Hypercube":
-        """This box when ``bounds`` are its own, else a box of them."""
-        return self if bounds[0] is self.lower and bounds[1] is self.upper else Hypercube(*bounds)
-
-    def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != self.dim:
-            raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
-        return x
-
-    def _check_same_dim(self, other: "Hypercube") -> None:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if x.ndim != 1 or x.size != self.lower.size:
+            raise ValueError(f"point has dimension {x.size}, box has {self.lower.size}")
+        return contains(self.lower, self.upper, x)

@@ -63,14 +63,14 @@ class LinearModelConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ModelKind(self.kind))
         object.__setattr__(self, "penalty", Penalty(self.penalty))
-        if self.alpha_reg < 0:
-            raise ValueError("alpha_reg must be non-negative")
+        if not 0 <= self.alpha_reg < math.inf:
+            raise ValueError("alpha_reg must be non-negative and finite")
         if not 0.0 <= self.l1_ratio <= 1.0:
             raise ValueError("l1_ratio must lie in [0, 1]")
-        if self.aggressiveness_c <= 0:
+        if not self.aggressiveness_c > 0:  # inf is the unbounded classic PA update
             raise ValueError("aggressiveness_c must be positive")
-        if self.learning_rate0 <= 0:
-            raise ValueError("learning_rate0 must be positive")
+        if not 0 < self.learning_rate0 < math.inf:
+            raise ValueError("learning_rate0 must be positive and finite")
 
     def build(self, dim: int) -> "OnlineLinearModel":
         """Fresh zero-weight model of this configuration."""

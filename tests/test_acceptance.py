@@ -26,7 +26,7 @@ from cooptile.bench import (
     run_experiment,
 )
 from cooptile.engine import Engine
-from cooptile.geometry import Hypercube
+from cooptile.geometry import contains, exclude, overlap_volume, overlap_widths, push, rescale, volume
 from cooptile.linear import LinearModelConfig, ModelKind
 
 KIND_VALUES = [k.value for k in KINDS]
@@ -133,18 +133,18 @@ def test_criterion_6_property_suites():
     # geometry: exact volume ratios, push separation, point exclusion
     for _ in range(200):
         lo = rng.uniform(-3, 3, size=2)
-        h = Hypercube(lo, lo + rng.uniform(0.05, 4, size=2))
+        h = lo, lo + rng.uniform(0.05, 4, size=2)
         factor = float(rng.uniform(0, 0.9))
-        assert h.expand(factor).volume() == pytest.approx((1 + factor) * h.volume(), rel=1e-9)
-        assert h.retract(factor).volume() == pytest.approx((1 - factor) * h.volume(), rel=1e-9)
+        assert volume(*rescale(*h, factor)) == pytest.approx((1 + factor) * volume(*h), rel=1e-9)
+        assert volume(*rescale(*h, -factor)) == pytest.approx((1 - factor) * volume(*h), rel=1e-9)
         other_lo = lo + rng.uniform(-1, 1, size=2)
-        other = Hypercube(other_lo, other_lo + rng.uniform(0.05, 4, size=2))
-        if h.intersection_volume(other) > 0:
-            pushed = h.push(other)
+        other = other_lo, other_lo + rng.uniform(0.05, 4, size=2)
+        if overlap_volume(overlap_widths(*h, *other)) > 0:
+            pushed = push(*h, *other)
             if pushed is not None:
-                assert h.intersection_volume(pushed) == 0.0
-        x = h.lower + rng.uniform(0, 1, size=2) * (h.upper - h.lower)
-        assert not h.exclude(x).contains(x)
+                assert overlap_volume(overlap_widths(*h, *pushed)) == 0.0
+        x = h[0] + rng.uniform(0, 1, size=2) * (h[1] - h[0])
+        assert not contains(*exclude(*h, x, EngineConfig().epsilon_scale), x)
 
     # PA post-update margin identity at 1e-9
     for kind in (ModelKind.PA_I, ModelKind.PA_II):

@@ -7,7 +7,7 @@ import pytest
 
 from cooptile.agents import EngineConfig
 from cooptile.engine import Engine
-from cooptile.geometry import Hypercube
+from cooptile.geometry import Bounds, contains, volume
 from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
 
 TOL = 1e-9
@@ -26,8 +26,8 @@ def engine_with_agents(*confidences: float, lo=(0.0, 0.0), up=(1.0, 1.0), **cfg_
     return Engine.from_snapshot(snap)
 
 
-def box(engine: Engine, row: int) -> Hypercube:
-    return Hypercube(engine.agents.lower[row], engine.agents.upper[row])
+def box(engine: Engine, row: int) -> Bounds:
+    return engine.agents.lower[row], engine.agents.upper[row]
 
 
 def give_feedback(engine: Engine, correct: bool, x) -> None:
@@ -59,15 +59,15 @@ class TestScore:
 class TestFeedback:
     def test_correct_with_zero_resize(self):
         engine = engine_with_agents(0.0, resize_factor=0.0, reward_weight=1.0)
-        volume = box(engine, 0).volume()
+        before = volume(*box(engine, 0))
         give_feedback(engine, True, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == 1.0
-        assert box(engine, 0).volume() == volume
+        assert volume(*box(engine, 0)) == before
 
     def test_correct_grows_region_and_trains(self):
         engine = engine_with_agents(0.0, resize_factor=0.1)
         give_feedback(engine, True, np.array([0.5, 0.5]))
-        assert box(engine, 0).volume() == pytest.approx(1.1, rel=TOL)
+        assert volume(*box(engine, 0)) == pytest.approx(1.1, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_correct_without_model_update_when_disabled(self):
@@ -80,14 +80,14 @@ class TestFeedback:
         x = np.array([0.9, 0.5])
         give_feedback(engine, False, x)
         assert engine.agents.confidence[0] == -0.5
-        assert not box(engine, 0).contains(x)
+        assert not contains(*box(engine, 0), x)
         assert engine.agents.step_count[0] == 0  # model untouched on exclusion
 
     def test_wrong_without_exclusion_shrinks_and_trains(self):
         engine = engine_with_agents(0.0, exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
         give_feedback(engine, False, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == -0.5
-        assert box(engine, 0).volume() == pytest.approx(0.9, rel=TOL)
+        assert volume(*box(engine, 0)) == pytest.approx(0.9, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_confidence_is_running_weighted_sum(self):
@@ -120,6 +120,14 @@ class TestEngineConfig:
             {"reward_weight": -1.0},
             {"epsilon_scale": 0.0},
             {"exploration_passes": 0},
+            # non-finite values: a NaN weight once left half the agents with a NaN confidence
+            {"init_radius": math.nan},
+            {"init_radius": math.inf},
+            {"reward_weight": math.nan},
+            {"reward_weight": math.inf},
+            {"penalty_weight": math.nan},
+            {"penalty_weight": -math.inf},
+            {"penalty_weight": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

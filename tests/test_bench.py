@@ -1,6 +1,7 @@
 """Cross-validation protocol, grid search, and boundary-grid checks."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,6 +275,8 @@ class TestExperimentConfig:
         ({"folds": -2}, "folds"),
         ({"noise_moons": -0.1}, "non-negative"),
         ({"noise_circles": -1}, "non-negative"),
+        ({"noise_moons": math.nan}, "non-negative"),
+        ({"noise_circles": math.inf}, "non-negative"),
     ])
     def test_out_of_range_values_rejected(self, overrides, match):
         # each used to pass validation and fail later (or, for noise, act as 0)

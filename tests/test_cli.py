@@ -34,6 +34,12 @@ class TestGenData:
         assert ds.meta["generator"] == "moons"
         assert (tmp_path / "moons.csv.json").exists()
 
+    def test_negative_noise_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen-data", "--dataset", "moons", "--noise", "-1",
+                                      "--out", str(tmp_path / "moons.csv")])
+        assert result.exit_code != 0 and isinstance(result.exception, ValueError)
+        assert not (tmp_path / "moons.csv").exists()
+
     def test_standardize_flag(self, runner, tmp_path):
         ds = load_csv(gen(runner, tmp_path, dataset="circles", n=50))
         assert abs(float(ds.X.mean())) < 1e-9

@@ -46,6 +46,12 @@ class TestMoons:
         with pytest.raises(ValueError):
             gen_moons(1)
 
+    @pytest.mark.parametrize("noise", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_noise(self, noise):
+        # a negative or NaN noise used to give the noise-free points
+        with pytest.raises(ValueError, match="noise"):
+            gen_moons(100, noise=noise)
+
 
 class TestCircles:
     def test_noiseless_radii(self):
@@ -63,6 +69,12 @@ class TestCircles:
         ds = gen_circles(100, noise=0.2, factor=0.5, seed=0)
         radii = np.linalg.norm(ds.X, axis=1)
         assert radii[ds.Y == 0].min() < radii[ds.Y == 1].max()
+
+    @pytest.mark.parametrize("noise", [-0.5, math.nan, math.inf])
+    def test_rejects_invalid_noise(self, noise):
+        # a negative or NaN noise used to give the noise-free points
+        with pytest.raises(ValueError, match="noise"):
+            gen_circles(100, noise=noise)
 
     def test_factor_bounds(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cooptile.agents import EngineConfig
 from cooptile.datasets import gen_circles, standardize
 from cooptile.engine import DECIDE_BLOCK_ROWS, Engine, NcsKind, Resolution
-from cooptile.geometry import Hypercube
+from cooptile.geometry import Bounds, Hypercube, contains, overlap_volume, overlap_widths, volume
 from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
 
 PA1 = LinearModelConfig(kind=ModelKind.PA_I)
@@ -61,12 +61,16 @@ def agents_by_id(engine: Engine) -> dict[int, dict]:
     return {a["id"]: a for a in engine.snapshot()["agents"]}
 
 
-def region(agent: dict) -> Hypercube:
-    return Hypercube(agent["region"]["lower"], agent["region"]["upper"])
+def region(agent: dict) -> Bounds:
+    return np.array(agent["region"]["lower"]), np.array(agent["region"]["upper"])
 
 
-def row_box(engine: Engine, row: int) -> Hypercube:
-    return Hypercube(engine.agents.lower[row], engine.agents.upper[row])
+def row_box(engine: Engine, row: int) -> Bounds:
+    return engine.agents.lower[row], engine.agents.upper[row]
+
+
+def intersection_volume(a: Bounds, b: Bounds) -> float:
+    return overlap_volume(overlap_widths(*a, *b))
 
 
 @st.composite
@@ -136,7 +140,7 @@ class TestIncompetence:
         [agent] = engine.snapshot()["agents"]
         assert np.allclose(agent["region"]["lower"], [-0.2, -0.1])
         assert np.allclose(agent["region"]["upper"], [0.8, 0.9])
-        assert region(agent).volume() == pytest.approx(1.0, rel=1e-9)  # (2R)^p
+        assert volume(*region(agent)) == pytest.approx(1.0, rel=1e-9)  # (2R)^p
         assert agent["confidence"] == 0.0
         assert agent["model"]["step_count"] == 1
         assert report.activated_ids == []
@@ -155,7 +159,7 @@ class TestIncompetence:
         assert (NcsKind.INCOMPETENCE, Resolution.CREATE) in kinds
         assert (NcsKind.COMPETITION, Resolution.PUSH) in kinds
         agents = agents_by_id(engine)
-        assert region(agents[0]).intersection_volume(region(agents[1])) == 0.0
+        assert intersection_volume(region(agents[0]), region(agents[1])) == 0.0
 
     def test_spawn_inside_same_class_agent_is_absorbed(self):
         # the created box [0.92, 1.12] x [-0.1, 0.1] lies 40% inside the old agent's
@@ -165,7 +169,7 @@ class TestIncompetence:
         assert report.ncs_events[0].participants == (1,)  # the created agent
         assert (NcsKind.COMPETITION, Resolution.ABSORB) in [(e.kind, e.resolution) for e in report.ncs_events]
         assert list(agents_by_id(engine)) == [0]
-        assert row_box(engine, 0).upper.tolist() == [1.02 + 0.1, 1.0]  # enclosed the created box
+        assert row_box(engine, 0)[1].tolist() == [1.02 + 0.1, 1.0]  # enclosed the created box
         assert engine.agents.confidence[0] == old["confidence"]
 
 
@@ -185,7 +189,7 @@ class TestCompetitionAndConflict:
         assert list(agents_by_id(engine)) == [0]  # b is gone
         # absorber's region covers both previous regions
         a = row_box(engine, 0)
-        assert a.contains([0.0, 0.0]) and a.contains([1.0, 1.0])
+        assert contains(*a, np.array([0.0, 0.0])) and contains(*a, np.array([1.0, 1.0]))
 
     def test_light_same_class_overlap_pushes(self):
         engine = engine_with(
@@ -198,7 +202,7 @@ class TestCompetitionAndConflict:
             (NcsKind.COMPETITION, Resolution.PUSH)
         ]
         assert len(engine.agents) == 2
-        assert row_box(engine, 0).intersection_volume(row_box(engine, 1)) == 0.0
+        assert intersection_volume(row_box(engine, 0), row_box(engine, 1)) == 0.0
 
     def test_no_threshold_competition_always_pushes(self):
         engine = engine_with(
@@ -223,8 +227,8 @@ class TestCompetitionAndConflict:
         ]
         assert report.ncs_events[0].participants == (0, 1)
         a, b = agents_by_id(engine).values()
-        assert region(a).intersection_volume(region(b)) == 0.0
-        assert region(b).contains([1.25, 0.5])  # kept the non-overlapping part
+        assert intersection_volume(region(a), region(b)) == 0.0
+        assert contains(*region(b), np.array([1.25, 0.5]))  # kept the non-overlapping part
         assert b["confidence"] == -engine.cfg.penalty_weight
         assert a["confidence"] == engine.cfg.reward_weight
 
@@ -259,13 +263,13 @@ class TestExploreInvariants:
             proposals = {
                 i: int(np.dot(a["model"]["weights"], x) + a["model"]["bias"] >= 0.0)
                 for i, a in agents_by_id(engine).items()
-                if region(a).contains(x)
+                if contains(*region(a), x)
             }
             engine.explore_step(x, int(y))
             alive = agents_by_id(engine)
             for i, j in combinations(proposals, 2):
                 if proposals[i] != proposals[j] and i in alive and j in alive:
-                    assert region(alive[i]).intersection_volume(region(alive[j])) == 0.0
+                    assert intersection_volume(region(alive[i]), region(alive[j])) == 0.0
 
     def test_population_bounded_by_observations(self):
         X, Y = self.train_data()
@@ -653,6 +657,18 @@ class TestDeterminismAndPersistence:
         engine = engine_with(*agents, next_agent_id=max(agent_ids) + 1)
         engine.explore_step([-5.0, -5.0], 1)  # uncovered: creates an agent
         assert engine.agents.id.tolist() == [*agent_ids, max(agent_ids) + 1]
+
+    @pytest.mark.parametrize("field,value", [
+        ("confidence", float("nan")), ("weights", [float("nan"), 0.0]), ("bias", float("nan")),
+        ("bias", float("inf")), ("upper", [1.0, float("inf")]),
+    ])
+    def test_non_finite_snapshot_values_rejected(self, field, value):
+        # a NaN confidence once loaded silently and changed predict_batch labels
+        agents = [agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])]
+        a = agents[0]
+        {"confidence": a, "weights": a["model"], "bias": a["model"], "upper": a["region"]}[field][field] = value
+        with pytest.raises(ValueError, match="finite"):
+            engine_with(*agents)
 
     def test_snapshot_of_older_format_loads(self):
         # written by the quickstart config on 20 circles points before snapshots dropped the

@@ -281,6 +281,18 @@ class TestConfigAndSerialization:
             LinearModelConfig(kind=ModelKind.PA_I, aggressiveness_c=0.0)
         with pytest.raises(ValueError):
             LinearModelConfig(kind=ModelKind.LOGIT, l1_ratio=1.5)
+        # NaN fails every comparison, so a check like `alpha_reg < 0` let it through; an inf rate
+        # or shrinkage weight gives NaN weights within two updates
+        for field in ("alpha_reg", "learning_rate0", "aggressiveness_c"):
+            with pytest.raises(ValueError, match=field):
+                LinearModelConfig(kind=ModelKind.PA_I, **{field: math.nan})
+        for field in ("alpha_reg", "learning_rate0"):
+            with pytest.raises(ValueError, match=field):
+                LinearModelConfig(kind=ModelKind.LOGIT, **{field: math.inf})
+        # an unbounded C is the classic PA update
+        model = LinearModelConfig(kind=ModelKind.PA_I, aggressiveness_c=math.inf).build(2)
+        model.partial_fit(np.array([1.0, 2.0]), 1)
+        assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
 
     def test_string_coercion(self):
         cfg = LinearModelConfig(kind="pa1", penalty="l1")
