@@ -46,6 +46,14 @@ class EngineConfig:
     train_on_correct: bool = True
 
     def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("exploration_passes", self.exploration_passes)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in (("exclude_points", self.exclude_points), ("train_on_correct", self.train_on_correct)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0 < self.init_radius < math.inf:
             raise ValueError("init_radius must be positive and finite")
         if self.overlap_threshold is not None and not 0.0 <= self.overlap_threshold <= 1.0:

@@ -7,12 +7,15 @@ parameters over their own grid with the same protocol. The full
 experiment runs both steps for every dataset/classifier combination and
 writes a machine-readable record list plus a compact accuracy table.
 
-Grid cells and folds are embarrassingly parallel; aggregation is
+Both steps run one grid search, each with its cell trainer
+(``train_linear``, ``train_engine``: the only code that builds a cell's
+configs). Grid cells are embarrassingly parallel and aggregation is
 order-independent, so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 from .agents import EngineConfig
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, standardize
 from .engine import Engine
-from .linear import LinearModelConfig, ModelKind
+from .linear import LinearModelConfig, ModelKind, OnlineLinearModel
 
 #: Classifier kinds benchmarked, in reporting order.
 KINDS = (ModelKind.LOGIT, ModelKind.LINEAR_SVM, ModelKind.PA_I, ModelKind.PA_II)
@@ -128,7 +131,7 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-# -- result records ---------------------------------------------------------
+# -- the grid search and its records ----------------------------------------
 
 
 @dataclass
@@ -164,17 +167,41 @@ class ResultRecord:
         )
 
 
-def _pick_best(per_cell_scores: list[list[float]]) -> tuple[int, list[float], float]:
-    """First cell with the highest mean accuracy (grid-order tie-break)."""
-    best_ci, best_scores, best_mean = 0, per_cell_scores[0], float(np.mean(per_cell_scores[0]))
-    for ci, scores in enumerate(per_cell_scores[1:], start=1):
-        mean = float(np.mean(scores))
-        if mean > best_mean:
-            best_ci, best_scores, best_mean = ci, scores, mean
-    return best_ci, best_scores, best_mean
+def _cell_scores(X, Y, folds, train, fit_seed: int, ci: int, cell: dict) -> list[float]:
+    """Worker: CV accuracies of grid cell ``ci`` (parallel-safe)."""
+
+    def fit_predict(Xtr, Ytr, Xval, fold):
+        return train(cell, Xtr, Ytr, _derive_seed(fit_seed, ci, fold)).predict_batch(Xval)
+
+    return cross_validate(X, Y, folds, fit_predict)
+
+
+def _grid_search(ds: Dataset, kind: ModelKind, stage: str, train, grid: list[dict], best_params,
+                 n_folds: int, cv_seed: int, fit_seed: int, jobs: int, dataset_name: str | None) -> ResultRecord:
+    """Stratified-CV search of ``grid`` with ``train(cell, X, Y, seed)``: the first cell of highest mean
+    accuracy wins, and its record reports ``best_params(cell)``."""
+    score = functools.partial(_cell_scores, ds.X, ds.Y, kfold_split(ds.Y, n_folds, cv_seed), train, fit_seed)
+    if jobs > 1:
+        # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunksize = max(1, min(4, math.ceil(len(grid) / jobs)))  # a small grid still reaches every worker
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            scores = list(pool.map(score, range(len(grid)), grid, chunksize=chunksize))
+    else:
+        scores = list(map(score, range(len(grid)), grid))
+    means = [float(np.mean(s)) for s in scores]
+    ci = means.index(max(means))
+    dataset = dataset_name or ds.meta.get("generator", "unknown")
+    return ResultRecord(dataset, kind.value, stage, best_params(grid[ci]), [float(s) for s in scores[ci]], means[ci])
 
 
 # -- step 1: bare linear classifiers ----------------------------------------
+
+
+def train_linear(kind: ModelKind, params: dict, X, Y, seed: int, epochs: int) -> OnlineLinearModel:
+    """A step-1 cell: the bare ``kind`` classifier with ``params``, fit on ``(X, Y)``."""
+    return LinearModelConfig(kind=kind, **params).build(X.shape[1]).fit(X, Y, epochs=epochs, seed=seed)
 
 
 def grid_search_linear(
@@ -189,48 +216,20 @@ def grid_search_linear(
 ) -> ResultRecord:
     """Cross-validated hyperparameter search for one bare classifier."""
     kind = ModelKind(kind)
-    if grid is None:
-        grid = default_linear_grid(kind)
-    folds = kfold_split(ds.Y, n_folds, cv_seed)
-    per_cell = []
-    for ci, cell in enumerate(grid):
-
-        def fit_predict(Xtr, Ytr, Xval, fold, _cell=cell, _ci=ci):
-            model = LinearModelConfig(kind=kind, **_cell).build(Xtr.shape[1])
-            model.fit(Xtr, Ytr, epochs=epochs, seed=_derive_seed(fit_seed, _ci, fold))
-            return model.predict_batch(Xval)
-
-        per_cell.append(cross_validate(ds.X, ds.Y, folds, fit_predict))
-    ci, scores, mean = _pick_best(per_cell)
-    return ResultRecord(
-        dataset=dataset_name or ds.meta.get("generator", "unknown"),
-        kind=kind.value,
-        stage=STAGE_ALONE,
-        best_params=dict(grid[ci]),
-        fold_accuracies=[float(s) for s in scores],
-        mean_accuracy=mean,
-    )
+    train = functools.partial(train_linear, kind, epochs=epochs)
+    grid = default_linear_grid(kind) if grid is None else grid
+    return _grid_search(ds, kind, STAGE_ALONE, train, grid, dict, n_folds, cv_seed, fit_seed, 1, dataset_name)
 
 
 # -- step 2: the same classifiers inside tiling agents ----------------------
 
 
-def _mas_cell_scores(payload: tuple) -> tuple[int, list[float]]:
-    """Worker: CV scores of one engine grid cell (parallel-safe)."""
-    X, Y, folds, model_params, cell, fit_seed, ci, passes = payload
-    model_cfg = LinearModelConfig.from_dict(model_params)
-
-    def fit_predict(Xtr, Ytr, Xval, fold):
-        cfg = EngineConfig(
-            **cell,
-            seed=_derive_seed(fit_seed, ci, fold),
-            exploration_passes=passes,
-        )
-        engine = Engine(cfg, model_cfg, dim=Xtr.shape[1])
-        engine.train(Xtr, Ytr)
-        return engine.predict_batch(Xval)
-
-    return ci, cross_validate(X, Y, folds, fit_predict)
+def train_engine(kind: ModelKind, params: dict, cell: dict, X, Y, seed: int, passes: int, trace=None) -> Engine:
+    """A step-2 cell: an engine of ``cell`` trained on ``(X, Y)``, its agents holding the ``kind``
+    classifier with ``params`` (other keys ignored); ``trace`` receives ``Engine.train``'s cycle log."""
+    model_cfg = LinearModelConfig.from_dict({"kind": kind.value, **params})
+    cfg = EngineConfig(**cell, seed=seed, exploration_passes=passes)
+    return Engine(cfg, model_cfg, dim=X.shape[1]).train(X, Y, trace=trace)
 
 
 def grid_search_mas(
@@ -247,33 +246,11 @@ def grid_search_mas(
 ) -> ResultRecord:
     """Cross-validated engine-parameter search with the linear model frozen."""
     kind = ModelKind(kind)
-    if grid is None:
-        grid = default_engine_grid()
-    folds = kfold_split(ds.Y, n_folds, cv_seed)
-    model_params = {"kind": kind.value, **linear_params}
-    payloads = [
-        (ds.X, ds.Y, folds, model_params, cell, fit_seed, ci, passes)
-        for ci, cell in enumerate(grid)
-    ]
-    if jobs > 1:
-        # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = max(1, min(4, math.ceil(len(grid) / jobs)))  # a small grid still reaches every worker
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mas_cell_scores, payloads, chunksize=chunksize))
-    else:
-        results = [_mas_cell_scores(p) for p in payloads]
-    per_cell = [scores for _, scores in sorted(results, key=lambda r: r[0])]
-    ci, scores, mean = _pick_best(per_cell)
-    return ResultRecord(
-        dataset=dataset_name or ds.meta.get("generator", "unknown"),
-        kind=kind.value,
-        stage=STAGE_MAS,
-        best_params={"engine": dict(grid[ci]), "model": dict(linear_params)},
-        fold_accuracies=[float(s) for s in scores],
-        mean_accuracy=mean,
-    )
+    train = functools.partial(train_engine, kind, linear_params, passes=passes)
+    grid = default_engine_grid() if grid is None else grid
+    return _grid_search(ds, kind, STAGE_MAS, train, grid,
+                        lambda cell: {"engine": dict(cell), "model": dict(linear_params)},
+                        n_folds, cv_seed, fit_seed, jobs, dataset_name)
 
 
 # -- decision-boundary grids -------------------------------------------------

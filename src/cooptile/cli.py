@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -9,14 +10,22 @@ from pathlib import Path
 import click
 
 from . import bench, datasets
-from .agents import EngineConfig
 from .engine import Engine
-from .linear import LinearModelConfig, ModelKind, OnlineLinearModel
+from .linear import ModelKind, OnlineLinearModel
 
 _KIND_CHOICE = click.Choice([k.value for k in bench.KINDS])
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        """Run a command, reporting a library ``ValueError`` as ``Error: <message>``, not a traceback."""
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Group)
 def main():
     """Cooperative-tiling classifier toolkit."""
 
@@ -59,8 +68,7 @@ def fit_linear(data, kind, cv, seed, epochs, out, model_out):
                                       fit_seed=seed, epochs=epochs)
     _write_json(out, record.to_dict())
     if model_out:
-        model = LinearModelConfig(kind=ModelKind(kind), **record.best_params).build(ds.X.shape[1])
-        model.fit(ds.X, ds.Y, epochs=epochs, seed=seed)
+        model = bench.train_linear(ModelKind(kind), record.best_params, ds.X, ds.Y, seed, epochs)
         _write_json(model_out, {"type": "linear", "model": model.to_dict()})
     click.echo(f"{kind} alone: mean accuracy {record.mean_accuracy:.4f} ({out})")
 
@@ -89,14 +97,9 @@ def fit_mas(data, kind, linear_params, cv, seed, passes, jobs, out, engine_out, 
                                    fit_seed=seed, passes=passes, jobs=jobs)
     _write_json(out, record.to_dict())
     if engine_out or trace:
-        cfg = EngineConfig(**record.best_params["engine"], seed=seed, exploration_passes=passes)
-        model_cfg = LinearModelConfig.from_dict({"kind": kind, **params})
-        engine = Engine(cfg, model_cfg, dim=ds.X.shape[1])
-        if trace:
-            with open(trace, "w") as f:
-                engine.train(ds.X, ds.Y, trace=f)
-        else:
-            engine.train(ds.X, ds.Y)
+        with open(trace, "w") if trace else contextlib.nullcontext() as f:
+            cell = record.best_params["engine"]
+            engine = bench.train_engine(ModelKind(kind), params, cell, ds.X, ds.Y, seed, passes, trace=f)
         if engine_out:
             _write_json(engine_out, {"type": "engine", "snapshot": engine.snapshot()})
     click.echo(f"{kind} in MAS: mean accuracy {record.mean_accuracy:.4f} ({out})")

@@ -118,11 +118,13 @@ class Engine:
     are independent and may run in parallel.
     """
 
-    def __init__(self, cfg: EngineConfig, model_cfg: LinearModelConfig, dim: int | None = None):
+    def __init__(self, cfg: EngineConfig, model_cfg: LinearModelConfig, dim: int):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         self.cfg = cfg
         self.model_cfg = model_cfg
         self.dim = dim
-        self.agents = Population(dim or 0)
+        self.agents = Population(dim)
         self.cycle = 0
         self._next_id = 0
 
@@ -154,9 +156,6 @@ class Engine:
             active = inside[0].nonzero()[0]
         # an uncovered point's new region is checked before any state changes
         bounds = None if active.size else around(x, self.cfg.init_radius)
-        if self.dim is None:
-            self.dim = x.size
-            self.agents = Population(self.dim)
         pop = self.agents
         events: list[NcsEvent] = []
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
@@ -302,8 +301,8 @@ class Engine:
             raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
         cfg = EngineConfig.from_dict(snap["config"])
         model_cfg = LinearModelConfig.from_dict(snap["model_config"])
-        engine = cls(cfg, model_cfg, dim=snap.get("dim"))
+        engine = cls(cfg, model_cfg, dim=snap["dim"])
         engine.cycle = int(snap["cycle"])
         engine._next_id = next_id
-        engine.agents = Population.from_dicts(snap["agents"], engine.dim or 0)
+        engine.agents = Population.from_dicts(snap["agents"], engine.dim)
         return engine

@@ -99,20 +99,20 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def checked_points(X, ndim: int, dim: int | None, owner: str) -> np.ndarray:
+def checked_points(X, ndim: int, dim: int, owner: str) -> np.ndarray:
     """``X`` as a float array, checked to be one point (``ndim`` 1) or rows of points (``ndim`` 2) of
-    dimension ``dim`` (any, if None) holding finite values; ``owner`` names the checker in errors."""
+    dimension ``dim`` holding finite values; ``owner`` names the checker in errors."""
     X = np.asarray(X, dtype=float)
     if X.ndim != ndim:
         raise ValueError(f"expected {'a 1-d point' if ndim == 1 else 'a 2-d matrix'}, got an array of shape {X.shape}")
-    if dim is not None and X.shape[-1] != dim:
+    if X.shape[-1] != dim:
         raise ValueError(f"points have dimension {X.shape[-1]}, {owner} has {dim}")
     if not np.isfinite(X).all():
         raise ValueError("input holds a non-finite value (nan or inf)")
     return X
 
 
-def checked_samples(X, Y, dim: int | None, owner: str) -> tuple[np.ndarray, list[int]]:
+def checked_samples(X, Y, dim: int, owner: str) -> tuple[np.ndarray, list[int]]:
     """``checked_points`` rows ``X``, at least one, and their labels ``Y`` as a list, each 0 or 1."""
     X, Y = checked_points(X, 2, dim, owner), np.asarray(Y)
     if X.shape[0] == 0:

@@ -24,6 +24,8 @@ from cooptile.bench import (
     grid_search_linear,
     max_line_residual,
     run_experiment,
+    train_engine,
+    train_linear,
 )
 from cooptile.engine import Engine
 from cooptile.geometry import contains, exclude, overlap_volume, overlap_widths, push, rescale, volume
@@ -105,20 +107,14 @@ def test_criterion_5_boundary_topology(experiment):
     started = time.perf_counter()
     for kind in KINDS:
         alone = experiment["by_key"][("circles", kind.value, "ALONE")]
-        model = LinearModelConfig.from_dict({"kind": kind.value, **alone.best_params}).build(2)
-        model.fit(ds.X, ds.Y, epochs=config["epochs"], seed=config["fit_seed"])
+        model = train_linear(kind, alone.best_params, ds.X, ds.Y, config["fit_seed"], config["epochs"])
         grid = boundary_grid(model.predict_batch, ds.X, step=0.02)
         residual = max_line_residual(frontier_midpoints(grid))
         assert residual < 0.02, f"{kind.value}: baseline frontier residual {residual:.4f}"
 
         mas = experiment["by_key"][("circles", kind.value, "MAS")]
-        cfg = EngineConfig(
-            **mas.best_params["engine"],
-            seed=config["fit_seed"],
-            exploration_passes=config["exploration_passes"],
-        )
-        engine = Engine(cfg, LinearModelConfig.from_dict({"kind": kind.value, **alone.best_params}), dim=2)
-        engine.train(ds.X, ds.Y)
+        engine = train_engine(kind, alone.best_params, mas.best_params["engine"], ds.X, ds.Y, config["fit_seed"],
+                              config["exploration_passes"])
         mas_grid = boundary_grid(engine.predict_batch, ds.X, step=0.02)
         assert encloses_origin(mas_grid), f"{kind.value}: MAS frontier does not enclose origin"
     elapsed = time.perf_counter() - started

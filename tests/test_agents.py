@@ -128,6 +128,15 @@ class TestEngineConfig:
             {"penalty_weight": math.nan},
             {"penalty_weight": -math.inf},
             {"penalty_weight": math.inf},
+            # wrong types: once accepted here, failing later inside train or read the wrong way
+            {"exploration_passes": 1.5},
+            {"exploration_passes": True},
+            {"seed": 2.5},
+            {"seed": True},
+            {"seed": -1},
+            {"exclude_points": "no"},
+            {"exclude_points": 0},
+            {"train_on_correct": "yes"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -26,6 +26,14 @@ def gen(runner, tmp_path, dataset="linear", n=40, seed=1, standardized=True):
     return path
 
 
+def assert_rejected(runner, tmp_path, options, message):
+    """``gen-data`` with ``options`` ends in a click error naming ``message``, not a traceback, and writes nothing."""
+    result = runner.invoke(main, ["gen-data", "--dataset", "moons", *options, "--out", str(tmp_path / "moons.csv")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "moons.csv").exists()
+
+
 class TestGenData:
     def test_writes_loadable_csv_with_manifest(self, runner, tmp_path):
         path = gen(runner, tmp_path, dataset="moons", n=60, standardized=False)
@@ -35,10 +43,10 @@ class TestGenData:
         assert (tmp_path / "moons.csv.json").exists()
 
     def test_negative_noise_rejected(self, runner, tmp_path):
-        result = runner.invoke(main, ["gen-data", "--dataset", "moons", "--noise", "-1",
-                                      "--out", str(tmp_path / "moons.csv")])
-        assert result.exit_code != 0 and isinstance(result.exception, ValueError)
-        assert not (tmp_path / "moons.csv").exists()
+        assert_rejected(runner, tmp_path, ["--noise", "-1"], "noise must be non-negative and finite")
+
+    def test_single_point_rejected(self, runner, tmp_path):
+        assert_rejected(runner, tmp_path, ["--n", "1"], "need at least 2 points")
 
     def test_standardize_flag(self, runner, tmp_path):
         ds = load_csv(gen(runner, tmp_path, dataset="circles", n=50))
@@ -111,8 +119,21 @@ class TestReproduce:
         result = runner.invoke(main, [
             "reproduce", "--config", str(config), "--out", str(tmp_path / "out"),
         ])
-        assert result.exit_code != 0
-        assert "unknown config" in str(result.exception or result.output)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: unknown config keys" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config,option,message", [
+        ({"folds": 1}, [], "folds must be at least 2"),
+        ({}, ["--jobs", "0"], "epochs must be >= 0, exploration_passes and jobs >= 1"),
+    ])
+    def test_bad_values_rejected_without_traceback(self, runner, tmp_path, config, option, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["reproduce", "--config", str(path), *option, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_mini_reproduce(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(

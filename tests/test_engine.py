@@ -456,19 +456,17 @@ class TestInputValidation:
         assert engine.to_json() == before
 
     def test_first_observation_is_checked_before_dim_is_fixed(self):
-        engine = Engine(EngineConfig(), PA1)
+        engine = Engine(EngineConfig(), PA1, dim=2)
         with pytest.raises(ValueError, match="non-finite"):
             engine.explore_step([np.nan, 0.0], 1)
-        assert engine.dim is None
         assert engine.cycle == 0 and len(engine.agents) == 0
 
     def test_unrepresentable_first_region_changes_nothing(self):
         # at 1e17 a half-width of 0.1 rounds away: the new region's bounds coincide
-        engine = Engine(EngineConfig(init_radius=0.1), PA1)
+        engine = Engine(EngineConfig(init_radius=0.1), PA1, dim=2)
         before = engine.snapshot()
         with pytest.raises(ValueError, match="strictly below"):
             engine.explore_step([1e17, 0.0], 1)
-        assert engine.dim is None
         assert engine.snapshot() == before
 
     def test_non_finite_training_row_rejected_up_front(self):
@@ -492,10 +490,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="label"):
             engine.train([[0.0, 0.0], [1.0, 1.0]], [0.5, 1.7])
         assert engine.to_json() == before
-        fresh = Engine(EngineConfig(), PA1)
+        fresh = Engine(EngineConfig(), PA1, dim=2)
         with pytest.raises(ValueError, match="label"):
             fresh.train([[0.0, 0.0], [1.0, 1.0]], [1, 2])
-        assert fresh.dim is None and fresh.cycle == 0 and len(fresh.agents) == 0
+        assert fresh.cycle == 0 and len(fresh.agents) == 0
 
     @pytest.mark.parametrize("bad", ["late non-finite row", "wrong dimension", "late bad label",
                                      "label count", "no rows"])
@@ -517,6 +515,19 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             engine.train(X, Y)
         assert engine.to_json() == before
+
+    @pytest.mark.parametrize("dim", [None, 0, -1, True, 2.0])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            Engine(EngineConfig(), PA1, dim=dim)
+        # older versions wrote "dim": null for an untrained engine, whose snapshot holds no agents
+        snap = {**self.trained().snapshot(), "agents": [], "next_agent_id": 0, "dim": dim}
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            Engine.from_snapshot(snap)
+
+    def test_dimension_has_no_default(self):
+        with pytest.raises(TypeError):
+            Engine(EngineConfig(), PA1)
 
     def test_wrong_dimension_rejected(self):
         engine = self.trained()
@@ -582,7 +593,7 @@ class TestPopulationInvariants:
         Y = rng.integers(0, 2, size=60)
         cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=overlap,
                            exclude_points=exclude)
-        engine = Engine(cfg, PA1)
+        engine = Engine(cfg, PA1, dim=dim)
         for x, y in zip(X, Y):
             engine.explore_step(x, int(y))
             pop = engine.agents

@@ -27,6 +27,13 @@ Any change to
 activation, winner selection, arbitration or their float arithmetic
 changes a hash.
 
+A third table pins the paper protocol's output files: ``results.json``
+and ``accuracy_table.csv`` of a mini ``run_experiment`` (n=40, 3 epochs,
+one exploration pass) over a few cells of the default grids, written
+alike by one worker and by a pool of two. Some searches pick a cell other
+than the first, and some means tie, so the choice of the best cell and its
+grid-order tie-break both show in the bytes.
+
 The hashes hold for the numpy float results of the machine that recorded
 them (x86-64, numpy 2.4); run ``python tests/test_golden.py`` to print the
 current tables.
@@ -37,6 +44,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -44,7 +53,7 @@ import pytest
 from cooptile import bench
 from cooptile.agents import EngineConfig
 from cooptile.engine import Engine
-from cooptile.linear import LinearModelConfig
+from cooptile.linear import LinearModelConfig, ModelKind
 
 CELLS = {
     "retract": {"init_radius": 0.2, "overlap_threshold": 0.5, "exclude_points": False,
@@ -141,6 +150,13 @@ LINEAR_GOLDEN = {
     "moons4/pa2/none": "08a910c41a460cc6",
 }
 
+#: Mini-protocol cells, by index into ``bench.default_linear_grid(kind)`` and ``bench.default_engine_grid()``.
+PROTOCOL_LINEAR_CELLS = {ModelKind.LOGIT: (0, 4, 8), ModelKind.LINEAR_SVM: (1, 3, 8),
+                         ModelKind.PA_I: (0, 1, 2), ModelKind.PA_II: (0, 2)}
+PROTOCOL_ENGINE_CELLS = (0, 35, 70, 107)
+
+PROTOCOL_GOLDEN = {"results.json": "8e000b4d407371ac", "accuracy_table.csv": "3de0cb7de808340d"}
+
 DATASETS = (*bench.DATASET_NAMES, "moons4")
 
 CASES = [
@@ -211,6 +227,14 @@ def run_linear_case(name: str, kind: str, shrink: str) -> str:
     return _sha(state)
 
 
+def run_protocol(jobs: int, out_dir) -> dict[str, str]:
+    linear_grids = {kind: [bench.default_linear_grid(kind)[i] for i in idx] for kind, idx in PROTOCOL_LINEAR_CELLS.items()}
+    engine_grid = [bench.default_engine_grid()[i] for i in PROTOCOL_ENGINE_CELLS]
+    config = {"n": 40, "epochs": 3, "exploration_passes": 1, "jobs": jobs}
+    bench.run_experiment(config, out_dir, linear_grids, engine_grid)
+    return {name: _sha((out_dir / name).read_bytes()) for name in PROTOCOL_GOLDEN}
+
+
 @pytest.mark.parametrize("name,kind,shrink", LINEAR_CASES, ids=["-".join(c) for c in LINEAR_CASES])
 def test_linear_fit_matches_golden_hashes(name, kind, shrink):
     assert run_linear_case(name, kind, shrink) == LINEAR_GOLDEN[f"{name}/{kind}/{shrink}"]
@@ -221,8 +245,15 @@ def test_run_matches_golden_hashes(name, kind, cell):
     assert run_case(name, kind, cell) == GOLDEN[f"{name}/{kind}/{cell}"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_protocol_files_match_golden_hashes(jobs, tmp_path):
+    assert run_protocol(jobs, tmp_path) == PROTOCOL_GOLDEN
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{"/".join(case)}": {json.dumps(run_case(*case))},')
     for case in LINEAR_CASES:
         print(f'    "{"/".join(case)}": "{run_linear_case(*case)}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"PROTOCOL_GOLDEN = {json.dumps(run_protocol(1, pathlib.Path(tmp)))}")
