@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import checked, exclude, rescale
-from .linear import LinearModelConfig, _sigmoid, linear_update
+from .linear import LinearModelConfig, _sigmoid, linear_update, store_floats
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,10 @@ class EngineConfig:
             raise ValueError("epsilon_scale must lie in (0, 0.5)")
         if self.exploration_passes < 1:
             raise ValueError("exploration_passes must be at least 1")
+        store_floats(self)
 
     def to_dict(self) -> dict:
-        return {
-            "init_radius": float(self.init_radius),
-            "overlap_threshold": None if self.overlap_threshold is None else float(self.overlap_threshold),
-            "exclude_points": bool(self.exclude_points),
-            "resize_factor": float(self.resize_factor),
-            "reward_weight": float(self.reward_weight),
-            "penalty_weight": float(self.penalty_weight),
-            "seed": int(self.seed),
-            "epsilon_scale": float(self.epsilon_scale),
-            "exploration_passes": int(self.exploration_passes),
-            "train_on_correct": bool(self.train_on_correct),
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":

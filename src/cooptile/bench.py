@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,25 +146,16 @@ class ResultRecord:
     mean_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "kind": self.kind,
-            "stage": self.stage,
-            "best_params": self.best_params,
-            "fold_accuracies": [float(s) for s in self.fold_accuracies],
-            "mean_accuracy": float(self.mean_accuracy),
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(
-            dataset=d["dataset"],
-            kind=d["kind"],
-            stage=d["stage"],
-            best_params=d["best_params"],
-            fold_accuracies=[float(s) for s in d["fold_accuracies"]],
-            mean_accuracy=float(d["mean_accuracy"]),
-        )
+        """The record of ``to_dict`` output; raises ``ValueError`` unless ``d`` holds exactly its fields."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or set(d) != set(names):
+            got = sorted(d) if isinstance(d, dict) else type(d).__name__
+            raise ValueError(f"a result record holds exactly the keys {names}, got {got}")
+        return cls(**d)
 
 
 def _cell_scores(X, Y, folds, train, fit_seed: int, ci: int, cell: dict) -> list[float]:
@@ -360,7 +351,9 @@ _CONFIG_INT_KEYS = ("n", "folds", "epochs", "exploration_passes", "data_seed", "
 def experiment_config(overrides: dict | None = None) -> dict:
     """Merge overrides into the default experiment config, validating early."""
     config = dict(_CONFIG_DEFAULTS)
-    overrides = overrides or {}
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config must be a JSON object, got {type(overrides).__name__}")
     unknown = set(overrides) - set(config)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; valid keys: {sorted(config)}")

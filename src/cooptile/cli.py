@@ -77,7 +77,7 @@ def fit_linear(data, kind, cv, seed, epochs, out, model_out):
 @click.option("--data", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--kind", type=_KIND_CHOICE, required=True)
 @click.option("--linear-params", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Result record JSON from fit-linear (its best_params are frozen).")
+              help="Result record JSON from fit-linear of the same kind (its best_params are frozen).")
 @click.option("--cv", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--passes", default=2, show_default=True, help="Exploration passes over the data.")
@@ -91,8 +91,11 @@ def fit_mas(data, kind, linear_params, cv, seed, passes, jobs, out, engine_out, 
     """Step 2: engine-parameter grid search with a frozen linear model."""
     ds = datasets.load_csv(data)
     with open(linear_params) as f:
-        alone = json.load(f)
-    params = alone["best_params"] if "best_params" in alone else alone
+        alone = bench.ResultRecord.from_dict(json.load(f))
+    if (alone.kind, alone.stage) != (kind, bench.STAGE_ALONE):
+        raise ValueError(f"--linear-params holds a {alone.kind} {alone.stage} record, "
+                         f"not the {kind} {bench.STAGE_ALONE} record of fit-linear")
+    params = alone.best_params
     record = bench.grid_search_mas(ds, ModelKind(kind), params, n_folds=cv, cv_seed=seed,
                                    fit_seed=seed, passes=passes, jobs=jobs)
     _write_json(out, record.to_dict())
@@ -117,12 +120,14 @@ def boundary(model, data, step, out):
     ds = datasets.load_csv(data)
     with open(model) as f:
         saved = json.load(f)
-    if saved.get("type") == "linear":
-        predict = OnlineLinearModel.from_dict(saved["model"]).predict_batch
-    elif saved.get("type") == "engine":
-        predict = Engine.from_snapshot(saved["snapshot"]).predict_batch
-    else:
-        raise click.BadParameter(f"{model}: unknown model file type {saved.get('type')!r}")
+    readers = {"linear": ("model", OnlineLinearModel.from_dict), "engine": ("snapshot", Engine.from_snapshot)}
+    kind = saved.get("type") if isinstance(saved, dict) else None
+    if kind not in readers:
+        raise click.BadParameter(f"{model}: unknown model file type {kind!r}")
+    key, read = readers[kind]
+    if key not in saved:
+        raise click.BadParameter(f"{model}: this {kind} model file holds no {key!r}")
+    predict = read(saved[key]).predict_batch
     grid = bench.boundary_grid(predict, ds.X, step=step)
     grid.to_csv(out)
     click.echo(f"wrote {grid.labels.size} lattice predictions to {out}")
@@ -137,7 +142,7 @@ def reproduce(config_path, out_dir, jobs):
     overrides = {}
     if config_path:
         with open(config_path) as f:
-            overrides = json.load(f)
+            overrides = bench.experiment_config(json.load(f))
     if jobs is not None:
         overrides["jobs"] = jobs
     config = bench.experiment_config(overrides)  # validate before any compute

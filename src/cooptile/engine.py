@@ -83,13 +83,6 @@ class NcsEvent:
     participants: tuple[int, ...]
     resolution: Resolution
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "participants": [int(i) for i in self.participants],
-            "resolution": self.resolution.value,
-        }
-
 
 @dataclass
 class CycleReport:
@@ -102,13 +95,9 @@ class CycleReport:
     ncs_events: list[NcsEvent] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "cycle": int(self.cycle),
-            "activated_ids": [int(i) for i in self.activated_ids],
-            "winner_id": None if self.winner_id is None else int(self.winner_id),
-            "prediction": int(self.prediction),
-            "ncs_events": [e.to_dict() for e in self.ncs_events],
-        }
+        """The report's fields; each event's too, its ``participants`` tuple written by ``json`` as a list."""
+        events = [{**vars(e), "kind": e.kind.value, "resolution": e.resolution.value} for e in self.ncs_events]
+        return {**vars(self), "ncs_events": events}
 
 
 class Engine:

@@ -71,24 +71,27 @@ class LinearModelConfig:
             raise ValueError("aggressiveness_c must be positive")
         if not 0 < self.learning_rate0 < math.inf:
             raise ValueError("learning_rate0 must be positive and finite")
+        store_floats(self)
 
     def build(self, dim: int) -> "OnlineLinearModel":
         """Fresh zero-weight model of this configuration."""
         return OnlineLinearModel(self, dim)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "alpha_reg": float(self.alpha_reg),
-            "penalty": self.penalty.value,
-            "l1_ratio": float(self.l1_ratio),
-            "aggressiveness_c": float(self.aggressiveness_c),
-            "learning_rate0": float(self.learning_rate0),
-        }
+        return {**vars(self), "kind": self.kind.value, "penalty": self.penalty.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearModelConfig":
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
+def store_floats(cfg) -> None:
+    """Store each ``float`` field of the validated frozen dataclass ``cfg`` as a Python float (``None``
+    stays), so that equal configs, say of ``1`` and ``1.0``, compute and write alike."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("float", "float | None") and value is not None:
+            object.__setattr__(cfg, f.name, float(value))
 
 
 def _sigmoid(z: float) -> float:

@@ -1,5 +1,6 @@
 """Agent feedback arithmetic, scoring, and the engine config."""
 
+import json
 import math
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestEngineConfig:
         cfg = EngineConfig(init_radius=0.5, overlap_threshold=0.2, exclude_points=True,
                            resize_factor=0.2, penalty_weight=2.0, seed=42)
         assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_float_fields_write_as_floats(self):
+        # equal configs write equal bytes, whatever number type built them
+        as_floats = EngineConfig(init_radius=1.0, overlap_threshold=0.5, resize_factor=0.0, reward_weight=2.0,
+                                 penalty_weight=0.25, epsilon_scale=0.125)
+        for number in (int, np.float32):
+            cfg = EngineConfig(init_radius=number(1), overlap_threshold=np.float32(0.5), resize_factor=number(0),
+                               reward_weight=number(2), penalty_weight=np.float32(0.25),
+                               epsilon_scale=np.float32(0.125))
+            assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(as_floats.to_dict(), sort_keys=True)
+            assert type(cfg.init_radius) is float and type(cfg.seed) is int
 
     def test_older_files_normalization_key(self):
         # older files carry "normalization": "sigmoid", the one score function there is

@@ -326,3 +326,11 @@ class TestRunExperiment:
         records = self.run_mini(tmp_path / "out")
         loaded = [ResultRecord.from_dict(d) for d in json.loads((tmp_path / "out" / "results.json").read_text())]
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+    def test_record_reader_wants_exactly_the_fields(self):
+        saved = ResultRecord("moons", "pa1", "ALONE", {"aggressiveness_c": 1.0}, [0.5, 1.0], 0.75).to_dict()
+        assert ResultRecord.from_dict(saved).to_dict() == saved
+        missing = {k: v for k, v in saved.items() if k != "kind"}
+        for bad in (missing, {**saved, "extra": 1}, saved["best_params"], [saved]):
+            with pytest.raises(ValueError, match="exactly the keys"):
+                ResultRecord.from_dict(bad)

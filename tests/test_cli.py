@@ -111,6 +111,29 @@ class TestFitCommands:
         ])
         assert result.exit_code == 0, result.output
 
+    def test_fit_mas_rejects_a_record_of_another_kind(self, runner, tmp_path):
+        data = gen(runner, tmp_path)
+        alone = tmp_path / "logit.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "logit", "--epochs", "2",
+                                      "--out", str(alone)])
+        assert result.exit_code == 0, result.output
+        mas_out = tmp_path / "mas.json"
+        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
+                                      "--out", str(mas_out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: --linear-params holds a logit ALONE record, not the pa1 ALONE record" in result.output
+        assert not mas_out.exists()
+
+    def test_boundary_rejects_a_model_file_without_its_payload(self, runner, tmp_path):
+        data = gen(runner, tmp_path)
+        model = tmp_path / "engine.json"
+        model.write_text(json.dumps({"type": "engine"}))
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "holds no 'snapshot'" in result.output and "Error:" in result.output
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_invalid_config_fails_before_compute(self, runner, tmp_path):
@@ -126,6 +149,7 @@ class TestReproduce:
     @pytest.mark.parametrize("config,option,message", [
         ({"folds": 1}, [], "folds must be at least 2"),
         ({}, ["--jobs", "0"], "epochs must be >= 0, exploration_passes and jobs >= 1"),
+        ([1], ["--jobs", "2"], "config must be a JSON object"),
     ])
     def test_bad_values_rejected_without_traceback(self, runner, tmp_path, config, option, message):
         path = tmp_path / "config.json"

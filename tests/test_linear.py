@@ -1,6 +1,7 @@
 """Online linear model tests: frozen update examples, margin identities,
 finite-difference gradient checks."""
 
+import json
 import math
 
 import numpy as np
@@ -297,6 +298,16 @@ class TestConfigAndSerialization:
     def test_string_coercion(self):
         cfg = LinearModelConfig(kind="pa1", penalty="l1")
         assert cfg.kind is ModelKind.PA_I and cfg.penalty is Penalty.L1
+
+    def test_float_fields_write_as_floats(self):
+        # equal configs write equal bytes, whatever number type built them
+        as_floats = LinearModelConfig(kind=ModelKind.LOGIT, alpha_reg=0.0, l1_ratio=1.0, aggressiveness_c=2.0,
+                                      learning_rate0=0.25)
+        for number in (int, np.float32):
+            cfg = LinearModelConfig(kind="logit", alpha_reg=number(0), l1_ratio=number(1), aggressiveness_c=number(2),
+                                    learning_rate0=np.float32(0.25))
+            assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(as_floats.to_dict(), sort_keys=True)
+            assert type(cfg.alpha_reg) is float and cfg.to_dict()["kind"] == "logit"
 
     def test_roundtrip(self):
         m = fresh(ModelKind.PA_II, aggressiveness_c=2.0)
