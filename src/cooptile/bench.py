@@ -150,11 +150,14 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        """The record of ``to_dict`` output; raises ``ValueError`` unless ``d`` holds exactly its fields."""
+        """The record of ``to_dict`` output; raises ``ValueError`` unless ``d`` holds exactly its fields,
+        ``best_params`` a JSON object."""
         names = [f.name for f in fields(cls)]
         if not isinstance(d, dict) or set(d) != set(names):
             got = sorted(d) if isinstance(d, dict) else type(d).__name__
             raise ValueError(f"a result record holds exactly the keys {names}, got {got}")
+        if not isinstance(d["best_params"], dict):
+            raise ValueError(f"a result record's best_params is a JSON object, got {type(d['best_params']).__name__}")
         return cls(**d)
 
 

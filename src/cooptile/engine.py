@@ -7,14 +7,17 @@ activated agents whose scores lie within ``SCORE_TIE_TOL`` of the top
 score tie and vote, an even vote going to class 0; the answering agent is
 the lowest-id tied agent proposing the chosen class. An uncovered point
 goes to the nearest agent (Euclidean distance to its box, ties to the
-lowest id), which answers with its own proposal. ``Engine._decide``
-applies the rule to a block of rows at once, reading the arrays of the
+lowest id), which answers with its own proposal. On a block of rows at
+once, ``Engine._activation`` tests every region and ``Engine._decide``
+applies the rest of the rule to that mask, both reading the arrays of the
 population (``agents.Population``) in place.
 
-During *exploration*, each labeled observation drives one cycle: the rule
-gives the system prediction, every activated agent receives feedback on
-its proposal, and geometric arbitration then removes friction between
-them. Three situations trigger rearrangement:
+During *exploration*, each labeled observation drives one cycle, and the
+activation test comes first. An uncovered point needs nothing more: it is
+an incompetence, and its new agent answers. Otherwise the rule gives the
+system prediction, every activated agent receives feedback on its
+proposal, and geometric arbitration then removes friction between them.
+Three situations trigger rearrangement:
 
 * *incompetence* — no region contains the point: a new agent is created
   around it (half-width ``init_radius``) and immediately arbitrated
@@ -139,19 +142,17 @@ class Engine:
 
     def _explore(self, x: np.ndarray, y: int) -> CycleReport:
         """One exploration cycle on the checked point ``x`` with label ``y``."""
-        active = np.zeros(0, dtype=int)
-        if len(self.agents):
-            labels, winners, inside, votes = self._decide(x[None, :])
-            active = inside[0].nonzero()[0]
-        # an uncovered point's new region is checked before any state changes
-        bounds = None if active.size else around(x, self.cfg.init_radius)
-        pop = self.agents
+        pop, X = self.agents, x[None, :]
+        inside = self._activation(X)
+        active = inside[0].nonzero()[0]
         events: list[NcsEvent] = []
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
-        if bounds is not None:
-            prediction = self._create(x, y, bounds, events, dead)
+        if not active.size:
+            # the new region is checked before any state changes
+            prediction = self._create(x, y, around(x, self.cfg.init_radius), events, dead)
             winner_id = None
         else:
+            labels, winners, votes = self._decide(X, inside)
             proposals = dict(zip(active.tolist(), votes[0, active].astype(int).tolist()))
             winner_id = int(pop.id[winners[0]])
             prediction = int(labels[0])
@@ -176,7 +177,7 @@ class Engine:
         # the overlap test of overlap_volume(...) > 0.0, against every older row
         widths = overlap_widths(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
         rows = (widths > 0.0).all(axis=1).nonzero()[0]
-        rows = rows[np.prod(widths[rows], axis=1) > 0.0]  # a product of positive widths can underflow
+        rows = rows[widths[rows].prod(axis=1) > 0.0]  # a product of positive widths can underflow
         proposals.update((j, pop.propose(j, x)) for j in rows.tolist())
         self._resolve_pairs([(c, j) for j in rows.tolist()], proposals, events, dead)
         return prediction
@@ -214,8 +215,9 @@ class Engine:
 
     def exploit_step(self, x) -> CycleReport:
         """Classify one point without mutating any agent."""
-        x = checked_points(x, 1, self.dim, "engine")
-        labels, winners, inside, _ = self._decide(x[None, :])
+        X = checked_points(x, 1, self.dim, "engine")[None, :]
+        inside = self._activation(X)
+        labels, winners, _ = self._decide(X, inside)
         winner_id = int(self.agents.id[winners[0]])
         activated_ids = self.agents.id[inside[0]].tolist()
         events = [] if activated_ids else [NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)]
@@ -234,23 +236,28 @@ class Engine:
         labels = np.empty(X.shape[0], dtype=int)
         for start in range(0, X.shape[0], DECIDE_BLOCK_ROWS):
             block = slice(start, start + DECIDE_BLOCK_ROWS)
-            labels[block] = self._decide(X[block])[0]
+            labels[block] = self._decide(X[block], self._activation(X[block]))[0]
         return labels
 
-    def _decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Apply the decision rule to the rows of a checked block of at most ``DECIDE_BLOCK_ROWS`` rows.
+    def _activation(self, X: np.ndarray) -> np.ndarray:
+        """The ``(rows, agents)`` mask of the agents whose regions contain each row of a checked block."""
+        rows = X[:, None, :]
+        return ((rows >= self.agents.lower) & (rows <= self.agents.upper)).all(axis=2)
+
+    def _decide(self, X: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the decision rule to the rows of a checked block of at most ``DECIDE_BLOCK_ROWS`` rows,
+        given their ``_activation`` mask.
 
         Returns the class of each row (``True`` for class 1), the population
-        row of the agent answering it, and the ``(rows, agents)`` masks of
-        activation and of class-1 proposals. Rows are in ascending id order,
-        so the first index of a tie is the lowest id.
+        row of the agent answering it, and the ``(rows, agents)`` mask of
+        class-1 proposals. Rows are in ascending id order, so the first
+        index of a tie is the lowest id.
         """
         pop = self.agents
         if not len(pop):
             raise RuntimeError("engine has no agents; train before predicting")
         lower, upper, scores, weights, bias = pop.lower, pop.upper, pop.score, pop.weights, pop.bias
         rows = X[:, None, :]
-        inside = ((rows >= lower) & (rows <= upper)).all(axis=2)
         votes = X @ weights.T + bias >= 0.0
         # on a covered row an agent that is not activated scores -inf, so never ties
         masked = np.where(inside, scores, -np.inf)
@@ -264,7 +271,7 @@ class Engine:
             # hypot keeps tiny gaps from underflowing the way squaring them would
             winners[out] = np.hypot.reduce(gap, axis=2).argmin(axis=1)
             labels[out] = votes[out, winners[out]]
-        return labels, winners, inside, votes
+        return labels, winners, votes
 
     # -- persistence -----------------------------------------------------
 
@@ -284,14 +291,21 @@ class Engine:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Engine":
-        """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``."""
-        next_id, top = int(snap["next_agent_id"]), max((int(a["id"]) for a in snap["agents"]), default=-1)
-        if next_id <= top:  # checked before anything is built
-            raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
-        cfg = EngineConfig.from_dict(snap["config"])
-        model_cfg = LinearModelConfig.from_dict(snap["model_config"])
-        engine = cls(cfg, model_cfg, dim=snap["dim"])
-        engine.cycle = int(snap["cycle"])
-        engine._next_id = next_id
-        engine.agents = Population.from_dicts(snap["agents"], engine.dim)
+        """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``.
+
+        A snapshot without one of its keys, or an agent without one of its
+        own, raises ``ValueError`` naming the key.
+        """
+        try:
+            next_id, top = int(snap["next_agent_id"]), max((int(a["id"]) for a in snap["agents"]), default=-1)
+            if next_id <= top:  # checked before anything is built
+                raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
+            cfg = EngineConfig.from_dict(snap["config"])
+            model_cfg = LinearModelConfig.from_dict(snap["model_config"])
+            engine = cls(cfg, model_cfg, dim=snap["dim"])
+            engine.cycle = int(snap["cycle"])
+            engine._next_id = next_id
+            engine.agents = Population.from_dicts(snap["agents"], engine.dim)
+        except KeyError as missing:
+            raise ValueError(f"snapshot lacks the key {missing}") from None
         return engine

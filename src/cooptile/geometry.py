@@ -8,6 +8,16 @@ of its population arrays in place; each returns new bounds, checked to keep
 ``lower < upper`` (``ValueError`` otherwise). These functions are the box
 API; :class:`Hypercube`, a checked read-only pair of bound vectors with a
 membership test, remains only while ``perfbench/test_perfbench.py`` uses it.
+
+An exploration cycle calls them on one agent's row of a few axes at a
+time, where each numpy call costs more than its arithmetic. So
+``rescale``, ``push`` and ``exclude`` loop over the bounds as Python
+floats, and ``volume`` and ``overlap_volume`` call the ndarray's own
+``prod``. Python rounds each float operation as numpy's elementwise
+ufuncs do, and the operations keep their order, so the bounds are
+bit-identical to the vectorized formulas at every dimension.
+``overlap_widths`` stays vectorized: it also compares one box with every
+row of the population at once.
 """
 
 from __future__ import annotations
@@ -20,10 +30,13 @@ import numpy as np
 Bounds = tuple[np.ndarray, np.ndarray]
 
 
+_UNORDERED = "every lower bound must lie strictly below its upper bound"
+
+
 def checked(lower: np.ndarray, upper: np.ndarray) -> Bounds:
     """The bounds themselves, after checking ``lower < upper`` on every axis."""
     if not (lower < upper).all():
-        raise ValueError("every lower bound must lie strictly below its upper bound")
+        raise ValueError(_UNORDERED)
     return lower, upper
 
 
@@ -36,7 +49,7 @@ def around(center: np.ndarray, half_width: float) -> Bounds:
 
 def volume(lower: np.ndarray, upper: np.ndarray) -> float:
     """Product of side lengths."""
-    return float(np.prod(upper - lower))
+    return float((upper - lower).prod())
 
 
 def contains(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> bool:
@@ -49,9 +62,15 @@ def rescale(lower: np.ndarray, upper: np.ndarray, factor: float) -> Bounds:
     the volume becomes ``(1 + factor) * volume``; factor 0 returns the bounds themselves."""
     if factor == 0.0:
         return lower, upper
-    half = (upper - lower) * ((1.0 + factor) ** (1.0 / lower.size) / 2.0)
-    center = (lower + upper) / 2.0
-    return checked(center - half, center + half)
+    k = (1.0 + factor) ** (1.0 / lower.size) / 2.0
+    lo, up = [], []
+    for a, b in zip(lower.tolist(), upper.tolist()):
+        half, center = (b - a) * k, (a + b) / 2.0
+        lo.append(center - half)
+        up.append(center + half)
+    if not all(a < b for a, b in zip(lo, up)):
+        raise ValueError(_UNORDERED)
+    return np.array(lo), np.array(up)
 
 
 def overlap_widths(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray,
@@ -62,7 +81,7 @@ def overlap_widths(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray
 
 def overlap_volume(widths: np.ndarray) -> float:
     """Intersection volume of ``overlap_widths``; 0.0 for disjoint or touching boxes, or on underflow."""
-    return 0.0 if (widths <= 0.0).any() else float(np.prod(widths))
+    return 0.0 if (widths <= 0.0).any() else float(widths.prod())
 
 
 def overlap_index(iv: float, lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray,

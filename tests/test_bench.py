@@ -334,3 +334,6 @@ class TestRunExperiment:
         for bad in (missing, {**saved, "extra": 1}, saved["best_params"], [saved]):
             with pytest.raises(ValueError, match="exactly the keys"):
                 ResultRecord.from_dict(bad)
+        for bad in ([1], None, "pa1"):
+            with pytest.raises(ValueError, match="best_params is a JSON object"):
+                ResultRecord.from_dict({**saved, "best_params": bad})

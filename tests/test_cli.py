@@ -134,6 +134,30 @@ class TestFitCommands:
         assert "holds no 'snapshot'" in result.output and "Error:" in result.output
         assert not out.exists()
 
+    def test_boundary_names_the_key_a_snapshot_lacks(self, runner, tmp_path):
+        data = gen(runner, tmp_path)
+        model = tmp_path / "engine.json"
+        model.write_text(json.dumps({"type": "engine", "snapshot": {}}))
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: snapshot lacks the key 'next_agent_id'" in result.output
+        assert not out.exists()
+
+    def test_fit_mas_rejects_best_params_that_are_not_an_object(self, runner, tmp_path):
+        data = gen(runner, tmp_path)
+        alone = tmp_path / "alone.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "2",
+                                      "--out", str(alone)])
+        assert result.exit_code == 0, result.output
+        alone.write_text(json.dumps({**json.loads(alone.read_text()), "best_params": [1]}))
+        mas_out = tmp_path / "mas.json"
+        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
+                                      "--out", str(mas_out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: a result record's best_params is a JSON object, got list" in result.output
+        assert not mas_out.exists()
+
 
 class TestReproduce:
     def test_invalid_config_fails_before_compute(self, runner, tmp_path):

@@ -1,6 +1,7 @@
 """Engine cycle tests: incompetence, competition, conflict, exploitation."""
 
 import gc
+import hashlib
 import io
 import json
 import tracemalloc
@@ -681,6 +682,20 @@ class TestDeterminismAndPersistence:
         with pytest.raises(ValueError, match="finite"):
             engine_with(*agents)
 
+    @pytest.mark.parametrize("path", [
+        ("config",), ("model_config",), ("dim",), ("cycle",), ("next_agent_id",), ("agents",),
+        ("agents", 1, "id"), ("agents", 1, "region"), ("agents", 1, "region", "upper"), ("agents", 1, "confidence"),
+        ("agents", 1, "model"), ("agents", 1, "model", "weights"), ("agents", 1, "model", "bias"),
+    ])
+    def test_snapshot_without_a_key_rejected_naming_it(self, path):
+        snap = engine_with(agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])).snapshot()
+        parent = snap
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ValueError, match=f"snapshot lacks the key '{path[-1]}'"):
+            Engine.from_snapshot(snap)
+
     def test_snapshot_of_older_format_loads(self):
         # written by the quickstart config on 20 circles points before snapshots dropped the
         # config's "normalization", each agent's "creation_cycle" and its copy of the model config
@@ -697,12 +712,33 @@ class TestDeterminismAndPersistence:
         assert engine.to_json() == json.dumps(old, sort_keys=True)
 
 
+#: The README quickstart's engine settings.
+QUICKSTART = EngineConfig(init_radius=0.2, overlap_threshold=0.5, exclude_points=True, resize_factor=0.1,
+                          penalty_weight=1.0, seed=5, exploration_passes=2)
+
+
 class TestEndToEndSmoke:
     def test_circles_training_accuracy(self):
         ds = standardize(gen_circles(n=100, noise=0.2, factor=0.5, seed=8))
-        cfg = EngineConfig(init_radius=0.2, overlap_threshold=0.5, exclude_points=True,
-                           resize_factor=0.1, penalty_weight=1.0, seed=5,
-                           exploration_passes=2)
-        engine = Engine(cfg, PA1, dim=2).train(ds.X, ds.Y)
+        engine = Engine(QUICKSTART, PA1, dim=2).train(ds.X, ds.Y)
         accuracy = float(np.mean(engine.predict_batch(ds.X) == ds.Y))
         assert accuracy >= 0.75
+
+    def test_exploration_decides_only_activated_cycles(self, monkeypatch):
+        # an uncovered point creates an agent from the activation test alone: votes, ties and
+        # the nearest-agent gap are computed only on cycles that activate some agent
+        decided = []
+        decide = Engine._decide
+
+        def counted(engine, X, inside):
+            decided.append(X.shape[0])
+            return decide(engine, X, inside)
+
+        monkeypatch.setattr(Engine, "_decide", counted)
+        ds = standardize(gen_circles(n=100, noise=0.2, factor=0.5, seed=8))
+        trace = io.StringIO()
+        Engine(QUICKSTART, PA1, dim=2).train(ds.X, ds.Y, trace=trace)
+        activated = sum(bool(json.loads(line)["activated_ids"]) for line in trace.getvalue().splitlines())
+        assert (len(decided), activated, set(decided)) == (128, 128, {1})
+        # the trace written when every cycle ran the whole decision rule
+        assert hashlib.sha256(trace.getvalue().encode()).hexdigest()[:16] == "577a2cd34fc6ffe0"

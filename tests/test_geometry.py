@@ -206,6 +206,64 @@ class TestExpandRetract:
         assert np.allclose(center(rescale(*h, -factor)), center(h), atol=1e-12)
 
 
+# ── float arithmetic against the numpy formulas ────────────────────
+
+
+def numpy_rescale(lower, upper, factor):
+    """``rescale`` as elementwise numpy ufuncs, in the same operation order."""
+    if factor == 0.0:
+        return lower, upper
+    half = (upper - lower) * ((1.0 + factor) ** (1.0 / lower.size) / 2.0)
+    center = (lower + upper) / 2.0
+    return checked(center - half, center + half)
+
+
+def numpy_volume(lower, upper):
+    return float(np.prod(upper - lower))
+
+
+def numpy_overlap_volume(widths):
+    return 0.0 if (widths <= 0.0).any() else float(np.prod(widths))
+
+
+def outcome(fn, *args):
+    """The bytes of ``fn``'s result, or the type of the error it raises."""
+    try:
+        result = fn(*args)
+    except ValueError as err:
+        return type(err)
+    return np.asarray(result, dtype=float).tobytes()
+
+
+@st.composite
+def scaled_boxes(draw, dim):
+    """Boxes whose sides span many magnitudes, down to products that underflow."""
+    lo = np.array([draw(st.floats(-1e6, 1e6, **finite)) for _ in range(dim)])
+    width = np.array([draw(st.floats(1e-60, 1e6, **finite)) for _ in range(dim)])
+    assume(((lo + width) > lo).all())
+    return lo, lo + width
+
+
+class TestFloatArithmetic:
+    """The box functions that loop over Python floats or call ndarray reductions give the bytes
+    of the elementwise numpy formulas, at every dimension, not only where ``1/d`` is exact."""
+
+    @given(st.integers(1, 6).flatmap(scaled_boxes),
+           st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, -0.2, -0.5, 1.0, -0.999]),
+                     st.floats(-0.999, 1.0, **finite)))
+    @settings(max_examples=300)
+    def test_rescale_and_volume_match_numpy_bytes(self, h, factor):
+        assert outcome(rescale, *h, factor) == outcome(numpy_rescale, *h, factor)
+        assert outcome(volume, *h) == outcome(numpy_volume, *h)
+
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.one_of(st.floats(-1.0, 1e6, **finite), st.floats(1e-200, 1e-30, **finite)), min_size=d, max_size=d)))
+    @settings(max_examples=300)
+    def test_overlap_volume_matches_numpy_bytes(self, widths):
+        widths = np.array(widths)
+        assert outcome(overlap_volume, widths) == outcome(numpy_overlap_volume, widths)
+
+
 # ── overlap ─────────────────────────────────────────────────────────
 
 

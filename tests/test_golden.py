@@ -6,7 +6,7 @@ two exploration passes) and hashes four byte strings with sha256:
 * ``trace`` — the JSONL cycle trace written by ``Engine.train``;
 * ``snapshot`` — ``Engine.to_json()`` after training;
 * ``lattice`` — ``predict_batch`` labels on a step-0.1 lattice around the
-  data (covered, tied and uncovered rows alike); at d = 4, on 3,000
+  data (covered, tied and uncovered rows alike); at d > 2, on 3,000
   Gaussian rows instead;
 * ``exploit`` — the ``exploit_step`` reports of 40 fixed probe points.
 
@@ -20,10 +20,11 @@ ignore shrinkage, so their four hashes agree.
 The cases cross the datasets, the four linear model kinds and the engine
 cells. Two cells come from the engine grid, one carving wrong points out
 (``exclude_points``) and one retracting instead; a third switches off
-resizing, absorption and training on correct proposals. ``moons4`` is
-moons with two standard-normal noise dimensions (d = 4); its regions
-start at half-width 0.5, wide enough there to meet and be arbitrated.
-Any change to
+resizing, absorption and training on correct proposals. ``moons4`` and
+``moons6`` are moons with two and four standard-normal noise dimensions
+(d = 4 and d = 6); their regions start at half-width 0.5, wide enough to
+meet and be arbitrated. At d = 6, where ``1/d`` is inexact, the cells'
+traces agree but their snapshots pin the resized bounds. Any change to
 activation, winner selection, arbitration or their float arithmetic
 changes a hash.
 
@@ -113,6 +114,18 @@ GOLDEN = {
     "moons4/pa2/retract": {"trace": "00025dfc3ac6886e", "snapshot": "fcb9f0334d71d7f2", "lattice": "17d92256d309ca93", "exploit": "9a948eab36d62bed"},
     "moons4/pa2/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "307dc8b8db9afe47", "lattice": "478dff2c7db9d8a1", "exploit": "89ff49745f149db5"},
     "moons4/pa2/still": {"trace": "65d254ade6218dc9", "snapshot": "2abfb412c4a8691b", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
+    "moons6/logit/retract": {"trace": "1744e96c62327237", "snapshot": "fc6c2ba12ba1e3bb", "lattice": "262695666c7206b4", "exploit": "6465d70e8d744a8b"},
+    "moons6/logit/exclude": {"trace": "1744e96c62327237", "snapshot": "3f13f275f1be57d2", "lattice": "1bcc242b3d123f25", "exploit": "6465d70e8d744a8b"},
+    "moons6/logit/still": {"trace": "1744e96c62327237", "snapshot": "7edf4a857cdbc116", "lattice": "4397652188b426c8", "exploit": "6465d70e8d744a8b"},
+    "moons6/linear_svm/retract": {"trace": "1744e96c62327237", "snapshot": "362c9cf0426fc7e8", "lattice": "262695666c7206b4", "exploit": "6465d70e8d744a8b"},
+    "moons6/linear_svm/exclude": {"trace": "1744e96c62327237", "snapshot": "eba0b76b180a9af9", "lattice": "1bcc242b3d123f25", "exploit": "6465d70e8d744a8b"},
+    "moons6/linear_svm/still": {"trace": "1744e96c62327237", "snapshot": "4706365a29bd69c7", "lattice": "4397652188b426c8", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa1/retract": {"trace": "1744e96c62327237", "snapshot": "ea28a03017351fe1", "lattice": "262695666c7206b4", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa1/exclude": {"trace": "1744e96c62327237", "snapshot": "7a1554d4a199653d", "lattice": "1bcc242b3d123f25", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa1/still": {"trace": "1744e96c62327237", "snapshot": "bec963609fddbc11", "lattice": "4397652188b426c8", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa2/retract": {"trace": "1744e96c62327237", "snapshot": "95ca877ada64aec6", "lattice": "262695666c7206b4", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa2/exclude": {"trace": "1744e96c62327237", "snapshot": "6707a239c652cee7", "lattice": "1bcc242b3d123f25", "exploit": "6465d70e8d744a8b"},
+    "moons6/pa2/still": {"trace": "1744e96c62327237", "snapshot": "e9a1a96fa0ce2563", "lattice": "4397652188b426c8", "exploit": "6465d70e8d744a8b"},
 }
 
 LINEAR_GOLDEN = {
@@ -157,7 +170,10 @@ PROTOCOL_ENGINE_CELLS = (0, 35, 70, 107)
 
 PROTOCOL_GOLDEN = {"results.json": "8e000b4d407371ac", "accuracy_table.csv": "3de0cb7de808340d"}
 
-DATASETS = (*bench.DATASET_NAMES, "moons4")
+#: Moons with standard-normal noise columns appended, by total dimension.
+NOISY_MOONS = ("moons4", "moons6")
+
+DATASETS = (*bench.DATASET_NAMES, *NOISY_MOONS)
 
 CASES = [
     (name, kind.value, cell)
@@ -189,10 +205,10 @@ def _sha(data: bytes) -> str:
 
 def dataset(name: str) -> tuple[np.ndarray, np.ndarray]:
     datasets = bench.build_datasets(bench.experiment_config())
-    if name != "moons4":
+    if name not in NOISY_MOONS:
         return datasets[name].X, datasets[name].Y
     ds = datasets["moons"]
-    noise = np.random.default_rng(23).standard_normal((ds.n, 2))
+    noise = np.random.default_rng(23).standard_normal((ds.n, int(name.removeprefix("moons")) - 2))
     return np.hstack([ds.X, noise]), ds.Y
 
 
