@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import checked, exclude, rescale
-from .linear import LinearModelConfig, _sigmoid, linear_update, store_floats
+from .linear import LinearModelConfig, _sigmoid, linear_update, sample, store_floats
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,14 @@ class Population:
         return n
 
     def drop(self, rows: set[int]) -> None:
-        """Remove the given rows, moving the later survivors up in place."""
-        first = min(rows)
-        survivors = [i for i in range(first, len(self)) if i not in rows]
-        for buffer in self._buffers.values():
-            buffer[first:first + len(survivors)] = buffer[survivors]
-        self._live(first + len(survivors))
+        """Remove the given rows, moving each run of survivors between them up in place."""
+        dead = sorted(rows)
+        end = dead[0]  # the survivors so far fill the rows before it
+        for row, stop in zip(dead, [*dead[1:], len(self)]):
+            for buffer in self._buffers.values():
+                buffer[end:end + stop - row - 1] = buffer[row + 1:stop]
+            end += stop - row - 1
+        self._live(end)
 
     def propose(self, i: int, x: np.ndarray) -> int:
         """Row ``i``'s class proposal at ``x``: 1 when ``w . x + b >= 0``."""
@@ -146,7 +148,8 @@ class Population:
 
     def fit(self, i: int, x: np.ndarray, y: int, model_cfg: LinearModelConfig) -> None:
         """One update of row ``i``'s linear model on the checked sample ``(x, y)``."""
-        self.bias[i] = linear_update(model_cfg, self.weights[i], float(self.bias[i]), int(self.step_count[i]), x, y)
+        self.bias[i] = linear_update(model_cfg, self.weights[i], float(self.bias[i]), int(self.step_count[i]),
+                                     [sample(model_cfg, x, y)])
         self.step_count[i] += 1
 
     def feedback(self, i: int, correct: bool, x, y: int, cfg: EngineConfig, model_cfg: LinearModelConfig) -> None:

@@ -179,7 +179,8 @@ def _grid_search(ds: Dataset, kind: ModelKind, stage: str, train, grid: list[dic
         # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, min(4, math.ceil(len(grid) / jobs)))  # a small grid still reaches every worker
+        # cells go out four at a time only while each worker still gets four chunks or more
+        chunksize = max(1, min(4, len(grid) // (4 * jobs)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scores = list(pool.map(score, range(len(grid)), grid, chunksize=chunksize))
     else:

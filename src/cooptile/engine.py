@@ -14,10 +14,12 @@ population (``agents.Population``) in place.
 
 During *exploration*, each labeled observation drives one cycle, and the
 activation test comes first. An uncovered point needs nothing more: it is
-an incompetence, and its new agent answers. Otherwise the rule gives the
-system prediction, every activated agent receives feedback on its
-proposal, and geometric arbitration then removes friction between them.
-Three situations trigger rearrangement:
+an incompetence, and its new agent answers. Otherwise the rule, applied to
+the activated rows alone (``Engine._decide_activated``, with the votes of
+``_decide``'s whole-population product), gives the system prediction,
+every activated agent receives feedback on its proposal, and geometric
+arbitration then removes friction between them. Untraced training builds
+no cycle report and no event. Three situations trigger rearrangement:
 
 * *incompetence* — no region contains the point: a new agent is created
   around it (half-width ``init_radius``) and immediately arbitrated
@@ -49,7 +51,7 @@ from typing import IO
 import numpy as np
 
 from .agents import EngineConfig, Population
-from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, push
+from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, overlapping, push
 from .linear import LinearModelConfig, checked_points, checked_samples
 
 #: Maximal score difference still treated as a tie in winner selection.
@@ -135,60 +137,67 @@ class Engine:
         rows, rng = list(X), np.random.default_rng(self.cfg.seed)
         for _ in range(self.cfg.exploration_passes):
             for i in rng.permutation(len(rows)).tolist():
-                report = self._explore(rows[i], labels[i])
-                if trace is not None:
+                report = self._explore(rows[i], labels[i], trace is not None)
+                if report is not None:
                     trace.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return self
 
-    def _explore(self, x: np.ndarray, y: int) -> CycleReport:
-        """One exploration cycle on the checked point ``x`` with label ``y``."""
-        pop, X = self.agents, x[None, :]
-        inside = self._activation(X)
-        active = inside[0].nonzero()[0]
-        events: list[NcsEvent] = []
+    def _explore(self, x: np.ndarray, y: int, report: bool = True) -> CycleReport | None:
+        """One exploration cycle on the checked point ``x`` with label ``y``; its report, with the
+        events, is built only when ``report`` is set."""
+        pop = self.agents
+        active = self._activation(x).nonzero()[0]
+        events: list[NcsEvent] | None = [] if report else None
         dead: set[int] = set()  # rows absorbed this cycle, dropped when it ends
         if not active.size:
             # the new region is checked before any state changes
-            prediction = self._create(x, y, around(x, self.cfg.init_radius), events, dead)
-            winner_id = None
+            prediction, winner = self._create(x, y, around(x, self.cfg.init_radius), events, dead), None
         else:
-            labels, winners, votes = self._decide(X, inside)
-            proposals = dict(zip(active.tolist(), votes[0, active].astype(int).tolist()))
-            winner_id = int(pop.id[winners[0]])
-            prediction = int(labels[0])
-            for i in active.tolist():
-                pop.feedback(i, proposals[i] == y, x, y, self.cfg, self.model_cfg)
-            self._resolve_pairs(list(combinations(active.tolist(), 2)), proposals, events, dead)
-        report = CycleReport(self.cycle, pop.id[active].tolist(), winner_id, prediction, events)
+            prediction, winner, votes = self._decide_activated(x, active)
+            proposals = dict(zip(active.tolist(), votes))
+            for i, vote in proposals.items():
+                pop.feedback(i, vote == y, x, y, self.cfg, self.model_cfg)
+            self._resolve_pairs(list(combinations(proposals, 2)), proposals, events, dead)
+        winner_id = None if winner is None else int(pop.id[winner])
+        result = CycleReport(self.cycle, pop.id[active].tolist(), winner_id, prediction, events) if report else None
         self.cycle += 1
         if dead:
             pop.drop(dead)
-        return report
+        return result
 
-    def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent], dead: set[int]) -> int:
+    def _decide_activated(self, x: np.ndarray, active: np.ndarray) -> tuple[int, int, list[int]]:
+        """``_decide`` on the checked point ``x`` that activates the rows ``active`` (ascending, at least one):
+        the class, the answering row and each activated row's proposal. The votes come from ``_decide``'s
+        whole-population product; the rest of the rule reads only the activated rows, as Python floats."""
+        pop = self.agents
+        votes = [int(m >= 0.0) for m in (x[None, :] @ pop.weights.T + pop.bias)[0][active].tolist()]
+        scores = pop.score[active].tolist()
+        top = max(scores) - SCORE_TIE_TOL
+        tied = [v for s, v in zip(scores, votes) if s >= top]
+        label = int(2 * sum(tied) > len(tied))  # even vote: class 0
+        return label, next(i for i, s, v in zip(active.tolist(), scores, votes) if s >= top and v == label), votes
+
+    def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent] | None, dead: set[int]) -> int:
         """Create an agent of the checked ``bounds`` around ``x``, arbitrate its overlaps; returns its proposal."""
         pop = self.agents
         c = pop.append(self._next_id, *bounds)
         self._next_id += 1
         pop.fit(c, x, y, self.model_cfg)
-        events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
-        prediction = pop.propose(c, x)
-        proposals = {c: prediction}
-        # the overlap test of overlap_volume(...) > 0.0, against every older row
-        widths = overlap_widths(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
-        rows = (widths > 0.0).all(axis=1).nonzero()[0]
-        rows = rows[widths[rows].prod(axis=1) > 0.0]  # a product of positive widths can underflow
-        proposals.update((j, pop.propose(j, x)) for j in rows.tolist())
-        self._resolve_pairs([(c, j) for j in rows.tolist()], proposals, events, dead)
-        return prediction
+        if events is not None:
+            events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
+        rows = overlapping(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
+        proposals = {i: pop.propose(i, x) for i in (c, *rows)}
+        self._resolve_pairs([(c, j) for j in rows], proposals, events, dead)
+        return proposals[c]
 
     def _resolve_pairs(self, pairs: list[tuple[int, int]], proposals: dict[int, int],
-                       events: list[NcsEvent], dead: set[int]) -> None:
-        """Arbitrate the overlapping pairs of rows, highest-scoring pair first."""
+                       events: list[NcsEvent] | None, dead: set[int]) -> None:
+        """Arbitrate the overlapping pairs of rows, highest-scoring pair first; ``events`` (unless None)
+        receives each resolution."""
         if not pairs:
             return
         threshold, pop = self.cfg.overlap_threshold, self.agents
-        score, ids = pop.score.tolist(), pop.id.tolist()
+        score = {i: float(pop.score[i]) for pair in pairs for i in pair}
         # ids ascend with rows, so row order breaks score ties as id order does
         for a, b in sorted(pairs, key=lambda p: (-max(score[p[0]], score[p[1]]), min(p), max(p))):
             if a in dead or b in dead:
@@ -208,8 +217,10 @@ class Engine:
                 dead.add(b)
             else:
                 pop.lower[b], pop.upper[b] = pushed
-            kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
-            events.append(NcsEvent(kind, (ids[a], ids[b]), Resolution.ABSORB if pushed is None else Resolution.PUSH))
+            if events is not None:
+                kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
+                resolution = Resolution.ABSORB if pushed is None else Resolution.PUSH
+                events.append(NcsEvent(kind, (int(pop.id[a]), int(pop.id[b])), resolution))
 
     # -- exploitation ----------------------------------------------------
 
@@ -240,9 +251,10 @@ class Engine:
         return labels
 
     def _activation(self, X: np.ndarray) -> np.ndarray:
-        """The ``(rows, agents)`` mask of the agents whose regions contain each row of a checked block."""
-        rows = X[:, None, :]
-        return ((rows >= self.agents.lower) & (rows <= self.agents.upper)).all(axis=2)
+        """The ``(rows, agents)`` mask of the agents whose regions contain each row of a checked block;
+        the ``(agents,)`` mask of one checked point."""
+        rows = X[..., None, :]
+        return ((rows >= self.agents.lower) & (rows <= self.agents.upper)).all(axis=-1)
 
     def _decide(self, X: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply the decision rule to the rows of a checked block of at most ``DECIDE_BLOCK_ROWS`` rows,
@@ -308,4 +320,6 @@ class Engine:
             engine.agents = Population.from_dicts(snap["agents"], engine.dim)
         except KeyError as missing:
             raise ValueError(f"snapshot lacks the key {missing}") from None
+        except TypeError as err:  # say, a list or a number where an object belongs
+            raise ValueError(f"snapshot is not shaped as snapshot() writes one: {err}") from None
         return engine

@@ -9,19 +9,18 @@ of its population arrays in place; each returns new bounds, checked to keep
 API; :class:`Hypercube`, a checked read-only pair of bound vectors with a
 membership test, remains only while ``perfbench/test_perfbench.py`` uses it.
 
-An exploration cycle calls them on one agent's row of a few axes at a
-time, where each numpy call costs more than its arithmetic. So
-``rescale``, ``push`` and ``exclude`` loop over the bounds as Python
-floats, and ``volume`` and ``overlap_volume`` call the ndarray's own
-``prod``. Python rounds each float operation as numpy's elementwise
-ufuncs do, and the operations keep their order, so the bounds are
-bit-identical to the vectorized formulas at every dimension.
-``overlap_widths`` stays vectorized: it also compares one box with every
-row of the population at once.
+An exploration cycle calls them on one row of a few axes at a time, where
+each numpy call costs more than its arithmetic, so ``volume``, ``rescale``,
+the overlap measures, ``push`` and ``exclude`` loop over Python floats.
+These round each operation as numpy's elementwise ufuncs do and keep their
+order (numpy multiplies a short vector's elements in sequence), so the
+results are bit-identical to the vectorized formulas at every dimension.
+``overlapping`` compares one box with every row of the population at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ def around(center: np.ndarray, half_width: float) -> Bounds:
 
 def volume(lower: np.ndarray, upper: np.ndarray) -> float:
     """Product of side lengths."""
-    return float((upper - lower).prod())
+    return float(math.prod(b - a for a, b in zip(lower.tolist(), upper.tolist())))
 
 
 def contains(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> bool:
@@ -74,14 +73,24 @@ def rescale(lower: np.ndarray, upper: np.ndarray, factor: float) -> Bounds:
 
 
 def overlap_widths(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray,
-                   other_upper: np.ndarray) -> np.ndarray:
-    """Per-axis extent of the intersection of two boxes, or of rows of boxes (broadcast)."""
-    return np.minimum(upper, other_upper) - np.maximum(lower, other_lower)
+                   other_upper: np.ndarray) -> list[float]:
+    """Per-axis extent of the intersection of two boxes."""
+    return [min(b, ob) - max(a, oa) for a, b, oa, ob in
+            zip(lower.tolist(), upper.tolist(), other_lower.tolist(), other_upper.tolist())]
 
 
-def overlap_volume(widths: np.ndarray) -> float:
+def overlap_volume(widths: list[float]) -> float:
     """Intersection volume of ``overlap_widths``; 0.0 for disjoint or touching boxes, or on underflow."""
-    return 0.0 if (widths <= 0.0).any() else float(widths.prod())
+    return 0.0 if min(widths) <= 0.0 else float(math.prod(widths))
+
+
+def overlapping(lower: np.ndarray, upper: np.ndarray, rows_lower: np.ndarray, rows_upper: np.ndarray) -> list[int]:
+    """Indices of the rows of boxes ``[rows_lower, rows_upper]`` whose overlap with the box has a
+    positive ``overlap_volume``."""
+    # for finite bounds, exactly the test that every width min(upper) - max(lower) is positive
+    rows = ((rows_lower < upper) & (rows_upper > lower)).all(axis=1).nonzero()[0].tolist()
+    # a product of positive widths can still underflow
+    return [j for j in rows if overlap_volume(overlap_widths(lower, upper, rows_lower[j], rows_upper[j])) > 0.0]
 
 
 def overlap_index(iv: float, lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray,

@@ -12,6 +12,10 @@ Four variants share the same state (weights, bias) and decision rule
   uses ``tau = loss / (q + 1 / (2C))``; then ``w += tau * s * x`` and
   ``b += tau * s``.
 
+``linear_update`` applies the one update rule to a sequence of samples,
+each prepared once by ``sample``: ``OnlineLinearModel.fit`` calls it once
+per epoch, ``partial_fit`` and the engine's agents with one sample.
+
 Gradient steps use the decaying rate
 ``eta_t = lr0 / (1 + lr0 * alpha_reg * t)`` with ``t`` the number of
 updates already applied. The shrinkage gradient is ``alpha_reg * w`` (L2),
@@ -127,41 +131,47 @@ def checked_samples(X, Y, dim: int, owner: str) -> tuple[np.ndarray, list[int]]:
     return X, Y.astype(int).tolist()
 
 
-def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, x: np.ndarray, y: int) -> float:
-    """Update weights ``w`` (in place) and bias ``b`` of a ``cfg`` model after ``t`` steps on the
-    checked sample ``(x, y)``; returns the new bias. ``OnlineLinearModel`` and ``Population`` share it.
+def sample(cfg: LinearModelConfig, x: np.ndarray, y: int) -> tuple:
+    """The checked sample ``(x, y)`` as ``linear_update`` reads it: ``(x, x as a list, s = 2y - 1, x . x)``,
+    the last only for the passive-aggressive kinds (0.0 otherwise)."""
+    return x, x.tolist(), 2.0 * y - 1.0, 0.0 if cfg.kind in GRADIENT_KINDS else float(x.dot(x))
+
+
+def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, samples) -> float:
+    """Update the contiguous weights ``w`` (in place) and bias ``b`` of a ``cfg`` model after ``t`` steps on
+    each ``sample`` of ``samples`` in turn; returns the new bias. ``OnlineLinearModel`` and ``Population``
+    share it.
 
     The weights change element by element in Python floats, which round each operation as numpy's
-    elementwise ufuncs do, without the per-call overhead of numpy temporaries on short vectors.
+    elementwise ufuncs do, through a memoryview, whose item assignment costs half an ndarray's.
     """
-    s = 2.0 * y - 1.0
-    f = float(w.dot(x)) + b  # the BLAS dot of ``w @ x``, with less dispatch
+    mw = memoryview(w)
     if cfg.kind in GRADIENT_KINDS:
-        if cfg.kind is ModelKind.LOGIT:
+        logit, lr, a = cfg.kind is ModelKind.LOGIT, cfg.learning_rate0, cfg.alpha_reg
+        for x, xs, s, _ in samples:
+            f = float(w.dot(x)) + b  # the BLAS dot of ``w @ x``, with less dispatch
             # d/df log(1 + exp(-s f)) = -s * sigmoid(-s f)
-            g = -s * _sigmoid(-s * f)
+            g = -s * _sigmoid(-s * f) if logit else (-s if s * f < 1.0 else 0.0)
+            eta = lr / (1.0 + lr * a * t)
+            for i, p in enumerate(_penalty_gradient(cfg, mw.tolist())):
+                mw[i] -= eta * (g * xs[i] + p)
+            b -= eta * g
+            t += 1
+        return b
+    for x, xs, s, norm_sq in samples:
+        loss = max(0.0, 1.0 - s * (float(w.dot(x)) + b))
+        if loss == 0.0 or norm_sq == 0.0:
+            continue  # nothing to correct, or a degenerate sample with nothing informative to move along
+        q = norm_sq + 1.0  # unit bias feature included
+        if cfg.kind is ModelKind.PA_I:
+            tau = min(cfg.aggressiveness_c, loss / q)
         else:
-            g = -s if s * f < 1.0 else 0.0
-        eta = cfg.learning_rate0 / (1.0 + cfg.learning_rate0 * cfg.alpha_reg * t)
-        ws, xs = w.tolist(), x.tolist()
-        for i, p in enumerate(_penalty_gradient(cfg, ws)):
-            w[i] = ws[i] - eta * (g * xs[i] + p)
-        return b - eta * g
-    loss = max(0.0, 1.0 - s * f)
-    if loss == 0.0:
-        return b  # nothing to correct
-    norm_sq = float(x.dot(x))
-    if norm_sq == 0.0:
-        return b  # a degenerate sample with nothing informative to move along
-    q = norm_sq + 1.0  # unit bias feature included
-    if cfg.kind is ModelKind.PA_I:
-        tau = min(cfg.aggressiveness_c, loss / q)
-    else:
-        tau = loss / (q + 0.5 / cfg.aggressiveness_c)
-    step = tau * s
-    for i, (wi, xi) in enumerate(zip(w.tolist(), x.tolist())):
-        w[i] = wi + step * xi
-    return b + step
+            tau = loss / (q + 0.5 / cfg.aggressiveness_c)
+        step = tau * s
+        for i, xi in enumerate(xs):
+            mw[i] += step * xi
+        b += step
+    return b
 
 
 def _penalty_gradient(cfg: LinearModelConfig, w: list[float]) -> list[float]:
@@ -217,20 +227,20 @@ class OnlineLinearModel:
         x = checked_points(x, 1, self.dim, "model")
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
-        self.bias = linear_update(self.config, self.weights, self.bias, self.step_count, x, y)
+        cfg = self.config
+        self.bias = linear_update(cfg, self.weights, self.bias, self.step_count, [sample(cfg, x, y)])
         self.step_count += 1
         return self
 
     def fit(self, X, Y, epochs: int = 100, seed: int = 0) -> "OnlineLinearModel":
         """Run ``epochs`` shuffled passes of single-sample updates, checking the samples once."""
         X, labels = checked_samples(X, Y, self.dim, "model")
-        rows, rng = list(X), np.random.default_rng(seed)
-        cfg, w, b, t = self.config, self.weights, self.bias, self.step_count
+        cfg, rng = self.config, np.random.default_rng(seed)
+        samples = [sample(cfg, x, y) for x, y in zip(X, labels)]
         for _ in range(epochs):
-            for i in rng.permutation(len(rows)).tolist():
-                b = linear_update(cfg, w, b, t, rows[i], labels[i])
-                t += 1
-        self.bias, self.step_count = b, t
+            order = rng.permutation(len(samples)).tolist()
+            self.bias = linear_update(cfg, self.weights, self.bias, self.step_count, [samples[i] for i in order])
+            self.step_count += len(order)
         return self
 
     def to_dict(self) -> dict:
@@ -249,4 +259,6 @@ class OnlineLinearModel:
         model.weights = np.asarray(d["weights"], dtype=float)
         model.bias = float(d["bias"])
         model.step_count = int(d.get("step_count", 0))
+        if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
+            raise ValueError("model weights and bias must be finite")
         return model

@@ -144,6 +144,28 @@ class TestFitCommands:
         assert "Error: snapshot lacks the key 'next_agent_id'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("reshape", ["snapshot", "agent", "region"])
+    def test_boundary_rejects_a_snapshot_of_the_wrong_shape(self, runner, tmp_path, reshape):
+        # a list for the snapshot, a number for an agent, null for a region: each once a TypeError traceback
+        data = gen(runner, tmp_path)
+        agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
+                 "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
+        snapshot = {"config": {}, "model_config": {"kind": "pa1"}, "dim": 2, "cycle": 0, "next_agent_id": 2,
+                    "agents": [agent, {**agent, "id": 1}]}
+        if reshape == "snapshot":
+            snapshot = []
+        elif reshape == "agent":
+            snapshot["agents"][1] = 1
+        else:
+            snapshot["agents"][1]["region"] = None
+        model = tmp_path / "engine.json"
+        model.write_text(json.dumps({"type": "engine", "snapshot": snapshot}))
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: snapshot is not shaped as snapshot() writes one" in result.output
+        assert not out.exists()
+
     def test_fit_mas_rejects_best_params_that_are_not_an_object(self, runner, tmp_path):
         data = gen(runner, tmp_path)
         alone = tmp_path / "alone.json"

@@ -317,6 +317,13 @@ class TestConfigAndSerialization:
         X = np.random.default_rng(0).normal(size=(20, 2))
         assert np.array_equal(restored.predict_batch(X), m.predict_batch(X))
 
+    @pytest.mark.parametrize("field,value", [("weights", [float("nan"), 0.0]), ("bias", float("inf"))])
+    def test_from_dict_rejects_non_finite_state(self, field, value):
+        d = fresh(ModelKind.PA_I).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            OnlineLinearModel.from_dict(d)
+
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             fresh(ModelKind.PA_I).partial_fit([1.0, 0.0], 2)
