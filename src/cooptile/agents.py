@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import checked, exclude, rescale
-from .linear import LinearModelConfig, _sigmoid, linear_update, sample, store_floats
+from .linear import LinearModelConfig, _sigmoid, checked_count, linear_update, sample, store_floats
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ class Population:
         pop = cls(dim)
         rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
-             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])))
+             checked_count(d["model"].get("step_count", 0), "step_count"), d["confidence"],
+             _sigmoid(float(d["confidence"])))
             for d in sorted(agents, key=lambda d: int(d["id"]))
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):

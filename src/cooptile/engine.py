@@ -7,19 +7,23 @@ activated agents whose scores lie within ``SCORE_TIE_TOL`` of the top
 score tie and vote, an even vote going to class 0; the answering agent is
 the lowest-id tied agent proposing the chosen class. An uncovered point
 goes to the nearest agent (Euclidean distance to its box, ties to the
-lowest id), which answers with its own proposal. On a block of rows at
-once, ``Engine._activation`` tests every region and ``Engine._decide``
-applies the rest of the rule to that mask, both reading the arrays of the
-population (``agents.Population``) in place.
+lowest id), which answers with its own proposal.
+
+Points and blocks each take their own path through the rule to the same
+bits, reading the arrays of the population (``agents.Population``) in
+place. ``Engine._activation`` tests every region against either.
+``Engine._decide`` applies the rest of the rule to a block's mask;
+``Engine._exploit`` to one point, on its activated rows alone
+(``Engine._decide_activated``) or, uncovered, by ``_decide``'s distance.
 
 During *exploration*, each labeled observation drives one cycle, and the
 activation test comes first. An uncovered point needs nothing more: it is
 an incompetence, and its new agent answers. Otherwise the rule, applied to
-the activated rows alone (``Engine._decide_activated``, with the votes of
-``_decide``'s whole-population product), gives the system prediction,
-every activated agent receives feedback on its proposal, and geometric
-arbitration then removes friction between them. Untraced training builds
-no cycle report and no event. Three situations trigger rearrangement:
+the activated rows alone (``Engine._decide_activated``), gives the system
+prediction, every activated agent receives feedback on its proposal, and
+geometric arbitration then removes friction between them. Untraced
+training builds no cycle report and no event. Three situations trigger
+rearrangement:
 
 * *incompetence* — no region contains the point: a new agent is created
   around it (half-width ``init_radius``) and immediately arbitrated
@@ -33,6 +37,8 @@ no cycle report and no event. Three situations trigger rearrangement:
 A push that cannot separate the two boxes with a single cut turns into an
 absorption. During *exploitation* nothing mutates: the rule's answer is
 returned, with the nearest agent standing in for an uncovered point.
+``predict`` returns only the class; ``exploit_step`` also reports the
+activated and answering agents.
 
 Every entry point rejects a non-finite value or a wrong dimension before
 any state changes. Cycles, arbitration order, and tie-breaks are all
@@ -52,7 +58,7 @@ import numpy as np
 
 from .agents import EngineConfig, Population
 from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, overlapping, push
-from .linear import LinearModelConfig, checked_points, checked_samples
+from .linear import LinearModelConfig, checked_count, checked_points, checked_samples
 
 #: Maximal score difference still treated as a tie in winner selection.
 SCORE_TIE_TOL = 1e-12
@@ -169,13 +175,17 @@ class Engine:
         """``_decide`` on the checked point ``x`` that activates the rows ``active`` (ascending, at least one):
         the class, the answering row and each activated row's proposal. The votes come from ``_decide``'s
         whole-population product; the rest of the rule reads only the activated rows, as Python floats."""
-        pop = self.agents
-        votes = [int(m >= 0.0) for m in (x[None, :] @ pop.weights.T + pop.bias)[0][active].tolist()]
-        scores = pop.score[active].tolist()
+        votes = [int(m >= 0.0) for m in self._margins(x)[active].tolist()]
+        scores = self.agents.score[active].tolist()
         top = max(scores) - SCORE_TIE_TOL
         tied = [v for s, v in zip(scores, votes) if s >= top]
         label = int(2 * sum(tied) > len(tied))  # even vote: class 0
         return label, next(i for i, s, v in zip(active.tolist(), scores, votes) if s >= top and v == label), votes
+
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        """``w . x + b`` of every row at the checked point ``x``, from the product ``_decide`` votes with."""
+        pop = self.agents
+        return (x[None, :] @ pop.weights.T + pop.bias)[0]
 
     def _create(self, x: np.ndarray, y: int, bounds: Bounds, events: list[NcsEvent] | None, dead: set[int]) -> int:
         """Create an agent of the checked ``bounds`` around ``x``, arbitrate its overlaps; returns its proposal."""
@@ -225,23 +235,45 @@ class Engine:
     # -- exploitation ----------------------------------------------------
 
     def exploit_step(self, x) -> CycleReport:
-        """Classify one point without mutating any agent."""
-        X = checked_points(x, 1, self.dim, "engine")[None, :]
-        inside = self._activation(X)
-        labels, winners, _ = self._decide(X, inside)
-        winner_id = int(self.agents.id[winners[0]])
-        activated_ids = self.agents.id[inside[0]].tolist()
-        events = [] if activated_ids else [NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)]
-        return CycleReport(self.cycle, activated_ids, winner_id, int(labels[0]), events)
+        """Classify one point without mutating any agent: the report of ``predict``'s answer, with the
+        activated agents and the answering one, which an event names when it stands in for an uncovered point."""
+        active, label, winner = self._exploit(checked_points(x, 1, self.dim, "engine"))
+        pop = self.agents
+        winner_id = int(pop.id[winner])
+        events = [] if active.size else [NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)]
+        return CycleReport(self.cycle, pop.id[active].tolist(), winner_id, label, events)
 
     def predict(self, x) -> int:
-        return self.exploit_step(x).prediction
+        """The class ``exploit_step(x)`` reports, without building the report."""
+        return self._exploit(checked_points(x, 1, self.dim, "engine"))[1]
+
+    def _exploit(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """``_decide`` on the checked point ``x``: its activated rows, its class and the answering row.
+
+        A covered point is decided on its activated rows (``_decide_activated``). An uncovered one goes to
+        the nearest row, its distance accumulated by ``np.hypot`` over the axes in turn, the order in which
+        ``np.hypot.reduce`` runs, so that it answers with ``_decide``'s bits.
+        """
+        pop = self.agents
+        if not len(pop):
+            raise RuntimeError("engine has no agents; train before predicting")
+        active = self._activation(x).nonzero()[0]
+        if active.size:
+            label, winner, _ = self._decide_activated(x, active)
+            return active, label, winner
+        gap = np.maximum(np.maximum(pop.lower - x, x - pop.upper), 0.0)
+        distance = gap[:, 0]
+        for k in range(1, self.dim):
+            distance = np.hypot(distance, gap[:, k])
+        winner = int(distance.argmin())  # the first of equal distances: the lowest id
+        return active, int(self._margins(x)[winner] >= 0.0), winner
 
     def predict_batch(self, X) -> np.ndarray:
-        """Exploitation over the rows of ``X``: row for row, ``exploit_step(x).prediction``.
+        """Exploitation over the rows of ``X``: row for row, ``predict(x)``.
 
-        Both go through ``_decide``, so covered, score-tied and uncovered
-        rows all follow the one decision rule.
+        ``_decide`` applies the rule to blocks of rows, and a single point
+        takes its own path to the same bits, so covered, score-tied and
+        uncovered rows all follow the one decision rule.
         """
         X = checked_points(X, 2, self.dim, "engine")
         labels = np.empty(X.shape[0], dtype=int)
@@ -306,16 +338,18 @@ class Engine:
         """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``.
 
         A snapshot without one of its keys, or an agent without one of its
-        own, raises ``ValueError`` naming the key.
+        own, raises ``ValueError`` naming the key, as does a counter (cycle,
+        next agent id, agent id, step count) that is not a non-negative integer.
         """
         try:
-            next_id, top = int(snap["next_agent_id"]), max((int(a["id"]) for a in snap["agents"]), default=-1)
+            next_id = checked_count(snap["next_agent_id"], "next_agent_id")
+            top = max((checked_count(a["id"], "id") for a in snap["agents"]), default=-1)
             if next_id <= top:  # checked before anything is built
                 raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
             cfg = EngineConfig.from_dict(snap["config"])
             model_cfg = LinearModelConfig.from_dict(snap["model_config"])
             engine = cls(cfg, model_cfg, dim=snap["dim"])
-            engine.cycle = int(snap["cycle"])
+            engine.cycle = checked_count(snap["cycle"], "cycle")
             engine._next_id = next_id
             engine.agents = Population.from_dicts(snap["agents"], engine.dim)
         except KeyError as missing:

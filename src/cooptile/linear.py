@@ -91,11 +91,20 @@ class LinearModelConfig:
 
 def store_floats(cfg) -> None:
     """Store each ``float`` field of the validated frozen dataclass ``cfg`` as a Python float (``None``
-    stays), so that equal configs, say of ``1`` and ``1.0``, compute and write alike."""
+    stays), so that equal configs, say of ``1`` and ``1.0``, compute and write alike; a bool is rejected."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in ("float", "float | None") and value is not None:
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             object.__setattr__(cfg, f.name, float(value))
+
+
+def checked_count(value, name: str) -> int:
+    """``value``, read from a saved file, checked to be a non-negative integer and not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _sigmoid(z: float) -> float:
@@ -147,14 +156,24 @@ def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, sampl
     """
     mw = memoryview(w)
     if cfg.kind in GRADIENT_KINDS:
-        logit, lr, a = cfg.kind is ModelKind.LOGIT, cfg.learning_rate0, cfg.alpha_reg
+        logit, lr, a, r = cfg.kind is ModelKind.LOGIT, cfg.learning_rate0, cfg.alpha_reg, cfg.l1_ratio
+        penalty = None if a == 0.0 else cfg.penalty
         for x, xs, s, _ in samples:
             f = float(w.dot(x)) + b  # the BLAS dot of ``w @ x``, with less dispatch
             # d/df log(1 + exp(-s f)) = -s * sigmoid(-s f)
             g = -s * _sigmoid(-s * f) if logit else (-s if s * f < 1.0 else 0.0)
             eta = lr / (1.0 + lr * a * t)
-            for i, p in enumerate(_penalty_gradient(cfg, mw.tolist())):
-                mw[i] -= eta * (g * xs[i] + p)
+            # w_i -= eta * (loss gradient + shrinkage gradient at the old w_i), sign(0) = 0
+            for i, xi in enumerate(xs):
+                wi = mw[i]
+                if penalty is None:
+                    mw[i] = wi - eta * (g * xi + 0.0)  # a zero shrinkage gradient still turns -0.0 into 0.0
+                elif penalty is Penalty.L2:
+                    mw[i] = wi - eta * (g * xi + a * wi)
+                elif penalty is Penalty.L1:
+                    mw[i] = wi - eta * (g * xi + a * ((wi > 0.0) - (wi < 0.0)))
+                else:
+                    mw[i] = wi - eta * (g * xi + a * (r * ((wi > 0.0) - (wi < 0.0)) + (1.0 - r) * wi))
             b -= eta * g
             t += 1
         return b
@@ -172,19 +191,6 @@ def linear_update(cfg: LinearModelConfig, w: np.ndarray, b: float, t: int, sampl
             mw[i] += step * xi
         b += step
     return b
-
-
-def _penalty_gradient(cfg: LinearModelConfig, w: list[float]) -> list[float]:
-    a = cfg.alpha_reg
-    if a == 0.0:
-        return [0.0] * len(w)
-    if cfg.penalty is Penalty.L2:
-        return [a * wi for wi in w]
-    sign = [(wi > 0.0) - (wi < 0.0) for wi in w]  # sign(0) = 0
-    if cfg.penalty is Penalty.L1:
-        return [a * si for si in sign]
-    r = cfg.l1_ratio
-    return [a * (r * si + (1.0 - r) * wi) for si, wi in zip(sign, w)]
 
 
 class OnlineLinearModel:
@@ -254,11 +260,15 @@ class OnlineLinearModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OnlineLinearModel":
+        """The model of ``to_dict`` output; a key it does not write is rejected."""
+        unknown = set(d) - {f.name for f in fields(LinearModelConfig)} - {"weights", "bias", "step_count"}
+        if unknown:
+            raise ValueError(f"a linear model holds no key {sorted(unknown)}")
         config = LinearModelConfig.from_dict(d)
         model = cls(config, len(d["weights"]))
         model.weights = np.asarray(d["weights"], dtype=float)
         model.bias = float(d["bias"])
-        model.step_count = int(d.get("step_count", 0))
+        model.step_count = checked_count(d.get("step_count", 0), "step_count")
         if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
             raise ValueError("model weights and bias must be finite")
         return model

@@ -138,6 +138,12 @@ class TestEngineConfig:
             {"exclude_points": "no"},
             {"exclude_points": 0},
             {"train_on_correct": "yes"},
+            # bools in float fields: once stored as 1.0 or 0.0
+            {"init_radius": True},
+            {"resize_factor": False},
+            {"reward_weight": True},
+            {"penalty_weight": False},
+            {"overlap_threshold": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 import cooptile.bench as bench
 from cooptile.cli import main
 from cooptile.datasets import load_csv
+from cooptile.linear import LinearModelConfig
 
 
 @pytest.fixture
@@ -164,6 +165,27 @@ class TestFitCommands:
         result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert "Error: snapshot is not shaped as snapshot() writes one" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["engine", "linear"])
+    def test_boundary_rejects_a_value_its_writer_never_writes(self, runner, tmp_path, kind):
+        # a negative cycle counter, or a key a linear model does not hold: each once loaded without a word
+        data = gen(runner, tmp_path)
+        if kind == "engine":
+            agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
+                     "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
+            payload = {"snapshot": {"config": {}, "model_config": {"kind": "pa1"}, "dim": 2, "cycle": -1,
+                                    "next_agent_id": 1, "agents": [agent]}}
+            message = "Error: cycle must be a non-negative integer, got -1"
+        else:
+            payload = {"model": {**LinearModelConfig(kind="pa1").build(2).to_dict(), "momentum": 0.9}}
+            message = "Error: a linear model holds no key ['momentum']"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"type": kind, **payload}))
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert message in result.output
         assert not out.exists()
 
     def test_fit_mas_rejects_best_params_that_are_not_an_object(self, runner, tmp_path):

@@ -153,6 +153,40 @@ def covering_populations(draw):
     return Engine.from_snapshot(snap), np.array(x), draw(st.integers(0, 1))
 
 
+@st.composite
+def exploited_populations(draw):
+    """A point and an engine of dimension 1..6 whose agents contain it or miss it by gaps that are often
+    equal or subnormal, with scores tied exactly or within ``SCORE_TIE_TOL``, and margins often exactly zero."""
+    dim = draw(st.integers(1, 6))
+    x = [draw(st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-2, 2)) for _ in range(dim)]
+    uncovered = draw(st.booleans())  # every agent misses the point, else about a quarter of them
+    agents = []
+    for k in range(draw(st.integers(1, 8))):
+        misses = uncovered or not draw(st.integers(0, 3))
+        missed = draw(st.sets(st.integers(0, dim - 1), min_size=1)) if misses else set()
+        lo, up = [], []
+        for axis, v in enumerate(x):
+            reach = draw(st.floats(0.01, 2.0))
+            if axis not in missed:
+                lo.append(v - reach)
+                up.append(v + reach)
+                continue
+            gap = draw(st.sampled_from([0.5, 1.0, 2.2e-313]) | st.floats(1e-3, 2.0))
+            if draw(st.booleans()):
+                lo.append(v + gap)
+                up.append(v + gap + reach)
+            else:
+                lo.append(v - gap - reach)
+                up.append(v - gap)
+        weights = [draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1, 1)) for _ in range(dim)]
+        bias = draw(st.sampled_from([-0.5, 0.0, 0.5]) | st.floats(-1, 1))
+        confidence = draw(st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5]))
+        agents.append(agent_dict(k, lo, up, weights, bias, confidence))
+    snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": dim, "agents": agents,
+            "next_agent_id": len(agents)}
+    return Engine.from_snapshot(snap), np.array(x)
+
+
 class TestExplorationDecision:
     @given(covering_populations())
     @settings(max_examples=300, deadline=None)
@@ -414,7 +448,37 @@ class TestExploitation:
         with pytest.raises(RuntimeError):
             engine.exploit_step(np.array([0.0, 0.0]))
         with pytest.raises(RuntimeError):
+            engine.predict(np.array([0.0, 0.0]))
+        with pytest.raises(RuntimeError):
             engine.predict_batch(np.zeros((3, 2)))
+
+    @given(exploited_populations())
+    @settings(max_examples=300, deadline=None)
+    def test_point_rule_equals_block_rule(self, case):
+        # a single point is decided on its own path: the answer of ``_decide`` on its one-row block
+        engine, x = case
+        X = x[None, :]
+        inside = engine._activation(X)
+        labels, winners, _ = engine._decide(X, inside)
+        ids = engine.agents.id
+        report = engine.exploit_step(x)
+        assert (report.prediction, report.winner_id) == (int(labels[0]), int(ids[winners[0]]))
+        assert report.activated_ids == ids[inside[0]].tolist()
+        assert len(report.ncs_events) == (not inside.any())
+        assert engine.predict(x) == int(labels[0])
+
+    def test_predict_builds_no_report(self, monkeypatch):
+        engine = engine_with(
+            constant_agent(0, [0, 0], [1, 1], proposes=1),
+            constant_agent(1, [3, 0], [4, 1], proposes=0),
+        )
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("predict built a CycleReport")
+
+        monkeypatch.setattr(engine_module, "CycleReport", no_report)
+        assert engine.predict(np.array([0.5, 0.5])) == 1  # covered by agent 0
+        assert engine.predict(np.array([3.4, 2.0])) == 0  # uncovered: agent 1 is nearest
 
     def test_exploitation_never_mutates(self):
         X, Y = TestExploreInvariants.train_data()
@@ -757,6 +821,21 @@ class TestDeterminismAndPersistence:
         else:
             snap["agents"][1]["region"] = None
         with pytest.raises(ValueError, match=r"snapshot is not shaped as snapshot\(\) writes one"):
+            Engine.from_snapshot(snap)
+
+    @pytest.mark.parametrize("path,value", [
+        (("cycle",), -3), (("cycle",), 2.7), (("cycle",), True), (("next_agent_id",), 5.5),
+        (("agents", 1, "id"), 1.5), (("agents", 1, "model", "step_count"), -4.5),
+        (("agents", 1, "model", "step_count"), 2.0),
+    ])
+    def test_counters_must_be_non_negative_integers(self, path, value):
+        # once truncated by int(), so that a cycle of -3 loaded as -3 and one of 2.7 as 2
+        snap = engine_with(agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])).snapshot()
+        parent = snap
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=f"{path[-1]} must be a non-negative integer"):
             Engine.from_snapshot(snap)
 
     def test_snapshot_of_older_format_loads(self):

@@ -290,6 +290,11 @@ class TestConfigAndSerialization:
         for field in ("alpha_reg", "learning_rate0"):
             with pytest.raises(ValueError, match=field):
                 LinearModelConfig(kind=ModelKind.LOGIT, **{field: math.inf})
+        # bools in float fields: once stored as 1.0 or 0.0
+        for field, value in (("alpha_reg", True), ("aggressiveness_c", True), ("learning_rate0", True),
+                             ("l1_ratio", False)):
+            with pytest.raises(ValueError, match=f"{field} must be a number"):
+                LinearModelConfig(kind=ModelKind.LOGIT, **{field: value})
         # an unbounded C is the classic PA update
         model = LinearModelConfig(kind=ModelKind.PA_I, aggressiveness_c=math.inf).build(2)
         model.partial_fit(np.array([1.0, 2.0]), 1)
@@ -322,6 +327,18 @@ class TestConfigAndSerialization:
         d = fresh(ModelKind.PA_I).to_dict()
         d[field] = value
         with pytest.raises(ValueError, match="finite"):
+            OnlineLinearModel.from_dict(d)
+
+    def test_from_dict_rejects_an_unknown_key(self):
+        d = {**fresh(ModelKind.PA_I).to_dict(), "momentum": 0.9}
+        with pytest.raises(ValueError, match="momentum"):
+            OnlineLinearModel.from_dict(d)
+        assert LinearModelConfig.from_dict(d) == LinearModelConfig(kind=ModelKind.PA_I)  # a config reads its own keys
+
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    def test_from_dict_rejects_a_step_count_that_is_not_a_count(self, value):
+        d = {**fresh(ModelKind.PA_I).to_dict(), "step_count": value}
+        with pytest.raises(ValueError, match="step_count must be a non-negative integer"):
             OnlineLinearModel.from_dict(d)
 
     def test_invalid_label(self):
