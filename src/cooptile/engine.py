@@ -9,12 +9,12 @@ the lowest-id tied agent proposing the chosen class. An uncovered point
 goes to the nearest agent (Euclidean distance to its box, ties to the
 lowest id), which answers with its own proposal.
 
-Points and blocks each take their own path through the rule to the same
-bits, reading the arrays of the population (``agents.Population``) in
-place. ``Engine._activation`` tests every region against either.
-``Engine._decide`` applies the rest of the rule to a block's mask;
-``Engine._exploit`` to one point, on its activated rows alone
-(``Engine._decide_activated``) or, uncovered, by ``_decide``'s distance.
+The rule has two paths, one for a point and one for a block, which give
+the same bits and read the arrays of the population (``agents.Population``)
+in place. ``Engine._activation`` tests every region against either, and
+``Engine._nearest`` finds the nearest box for either. ``Engine._decide``
+applies the rest of the rule to a block's mask; ``Engine._exploit`` to one
+point, on its activated rows alone (``Engine._decide_activated``).
 
 During *exploration*, each labeled observation drives one cycle, and the
 activation test comes first. An uncovered point needs nothing more: it is
@@ -237,7 +237,7 @@ class Engine:
     def exploit_step(self, x) -> CycleReport:
         """Classify one point without mutating any agent: the report of ``predict``'s answer, with the
         activated agents and the answering one, which an event names when it stands in for an uncovered point."""
-        active, label, winner = self._exploit(checked_points(x, 1, self.dim, "engine"))
+        active, label, winner = self._exploit(self._query(x, 1))
         pop = self.agents
         winner_id = int(pop.id[winner])
         events = [] if active.size else [NcsEvent(NcsKind.INCOMPETENCE, (winner_id,), Resolution.NEAREST)]
@@ -245,37 +245,29 @@ class Engine:
 
     def predict(self, x) -> int:
         """The class ``exploit_step(x)`` reports, without building the report."""
-        return self._exploit(checked_points(x, 1, self.dim, "engine"))[1]
+        return self._exploit(self._query(x, 1))[1]
+
+    def _query(self, X, ndim: int) -> np.ndarray:
+        """``X`` checked as one point (``ndim`` 1) or rows (``ndim`` 2); an engine without agents refuses any."""
+        X = checked_points(X, ndim, self.dim, "engine")
+        if not len(self.agents):
+            raise RuntimeError("engine has no agents; train before predicting")
+        return X
 
     def _exploit(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """``_decide`` on the checked point ``x``: its activated rows, its class and the answering row.
-
-        A covered point is decided on its activated rows (``_decide_activated``). An uncovered one goes to
-        the nearest row, its distance accumulated by ``np.hypot`` over the axes in turn, the order in which
-        ``np.hypot.reduce`` runs, so that it answers with ``_decide``'s bits.
-        """
-        pop = self.agents
-        if not len(pop):
-            raise RuntimeError("engine has no agents; train before predicting")
+        """``_decide`` on the checked point ``x``: its activated rows, its class and the answering row, from
+        the activated rows alone (``_decide_activated``) or, uncovered, the nearest row's own proposal."""
         active = self._activation(x).nonzero()[0]
         if active.size:
             label, winner, _ = self._decide_activated(x, active)
             return active, label, winner
-        gap = np.maximum(np.maximum(pop.lower - x, x - pop.upper), 0.0)
-        distance = gap[:, 0]
-        for k in range(1, self.dim):
-            distance = np.hypot(distance, gap[:, k])
-        winner = int(distance.argmin())  # the first of equal distances: the lowest id
+        winner = int(self._nearest(x))
         return active, int(self._margins(x)[winner] >= 0.0), winner
 
     def predict_batch(self, X) -> np.ndarray:
-        """Exploitation over the rows of ``X``: row for row, ``predict(x)``.
-
-        ``_decide`` applies the rule to blocks of rows, and a single point
-        takes its own path to the same bits, so covered, score-tied and
-        uncovered rows all follow the one decision rule.
-        """
-        X = checked_points(X, 2, self.dim, "engine")
+        """Exploitation over the rows of ``X``: row for row, ``predict(x)``. ``_decide`` applies the rule to
+        blocks of rows as ``_exploit`` does to one point, both sending an uncovered row to ``_nearest``."""
+        X = self._query(X, 2)
         labels = np.empty(X.shape[0], dtype=int)
         for start in range(0, X.shape[0], DECIDE_BLOCK_ROWS):
             block = slice(start, start + DECIDE_BLOCK_ROWS)
@@ -288,6 +280,18 @@ class Engine:
         rows = X[..., None, :]
         return ((rows >= self.agents.lower) & (rows <= self.agents.upper)).all(axis=-1)
 
+    def _nearest(self, X: np.ndarray) -> np.ndarray:
+        """The row of the box nearest (Euclidean distance) to each row of a checked block; to one checked
+        point. Of equal distances the first row wins, the lowest id."""
+        rows = X[..., None, :]
+        gap = self.agents.lower - rows  # reused in place: the (rows, agents, dim) temporaries are a block's largest
+        np.maximum(np.maximum(gap, rows - self.agents.upper, out=gap), 0.0, out=gap)
+        # hypot keeps tiny gaps from underflowing as squares would; axis by axis, it runs as hypot.reduce
+        distance = gap[..., 0]
+        for k in range(1, self.dim):
+            distance = np.hypot(distance, gap[..., k])
+        return distance.argmin(axis=-1)
+
     def _decide(self, X: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply the decision rule to the rows of a checked block of at most ``DECIDE_BLOCK_ROWS`` rows,
         given their ``_activation`` mask.
@@ -298,22 +302,15 @@ class Engine:
         index of a tie is the lowest id.
         """
         pop = self.agents
-        if not len(pop):
-            raise RuntimeError("engine has no agents; train before predicting")
-        lower, upper, scores, weights, bias = pop.lower, pop.upper, pop.score, pop.weights, pop.bias
-        rows = X[:, None, :]
-        votes = X @ weights.T + bias >= 0.0
+        votes = X @ pop.weights.T + pop.bias >= 0.0
         # on a covered row an agent that is not activated scores -inf, so never ties
-        masked = np.where(inside, scores, -np.inf)
+        masked = np.where(inside, pop.score, -np.inf)
         tied = masked >= masked.max(axis=1, keepdims=True) - SCORE_TIE_TOL
         labels = 2 * votes.sum(axis=1, where=tied) > tied.sum(axis=1)  # even vote: class 0
         winners = (tied & (votes == labels[:, None])).argmax(axis=1)
         out = (~inside.any(axis=1)).nonzero()[0]
         if out.size:
-            gap = lower - rows[out]  # reused in place: the (rows, agents, dim) temporaries are the block's largest
-            np.maximum(np.maximum(gap, rows[out] - upper, out=gap), 0.0, out=gap)
-            # hypot keeps tiny gaps from underflowing the way squaring them would
-            winners[out] = np.hypot.reduce(gap, axis=2).argmin(axis=1)
+            winners[out] = self._nearest(X[out])
             labels[out] = votes[out, winners[out]]
         return labels, winners, votes
 

@@ -260,14 +260,16 @@ class OnlineLinearModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OnlineLinearModel":
-        """The model of ``to_dict`` output; a key it does not write is rejected."""
-        unknown = set(d) - {f.name for f in fields(LinearModelConfig)} - {"weights", "bias", "step_count"}
-        if unknown:
-            raise ValueError(f"a linear model holds no key {sorted(unknown)}")
-        config = LinearModelConfig.from_dict(d)
-        model = cls(config, len(d["weights"]))
-        model.weights = np.asarray(d["weights"], dtype=float)
-        model.bias = float(d["bias"])
+        """The model of ``to_dict`` output; a key it does not write, or a value of the wrong type, is rejected."""
+        try:
+            unknown = set(d) - {f.name for f in fields(LinearModelConfig)} - {"weights", "bias", "step_count"}
+            if unknown:
+                raise ValueError(f"a linear model holds no key {sorted(unknown)}")
+            model = cls(LinearModelConfig.from_dict(d), len(d["weights"]))
+            model.weights = np.asarray(d["weights"], dtype=float)
+            model.bias = float(d["bias"])
+        except TypeError as err:  # say, a list for the model, null for a number, a number for the weights
+            raise ValueError(f"a linear model is not shaped as to_dict writes one: {err}") from None
         model.step_count = checked_count(d.get("step_count", 0), "step_count")
         if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
             raise ValueError("model weights and bias must be finite")

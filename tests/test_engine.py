@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cooptile.engine as engine_module
@@ -131,6 +131,8 @@ class TestSelectWinner:
             engine.exploit_step(np.array([0.5, 0.5]))
         with pytest.raises(RuntimeError):
             engine.predict_batch(np.array([[0.5, 0.5]]))
+        with pytest.raises(RuntimeError):
+            engine.predict_batch(np.empty((0, 2)))
 
 
 @st.composite
@@ -185,6 +187,16 @@ def exploited_populations(draw):
     snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": dim, "agents": agents,
             "next_agent_id": len(agents)}
     return Engine.from_snapshot(snap), np.array(x)
+
+
+def boxes_off_the_origin(*gaps) -> tuple[Engine, np.ndarray]:
+    """The origin in dimension 3 and an engine of one box per entry of ``gaps``, each box missing the
+    origin by that gap along each axis and proposing class 1 for agent 0, class 0 for the others."""
+    agents = [agent_dict(k, gap, [2.0, 2.0, 2.0], weights=(0.0, 0.0, 0.0), bias=-1.0 if k else 1.0)
+              for k, gap in enumerate(gaps)]
+    snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": 3, "agents": agents,
+            "next_agent_id": len(agents)}
+    return Engine.from_snapshot(snap), np.zeros(3)
 
 
 class TestExplorationDecision:
@@ -451,8 +463,12 @@ class TestExploitation:
             engine.predict(np.array([0.0, 0.0]))
         with pytest.raises(RuntimeError):
             engine.predict_batch(np.zeros((3, 2)))
+        with pytest.raises(RuntimeError):
+            engine.predict_batch(np.empty((0, 2)))
 
     @given(exploited_populations())
+    @example(boxes_off_the_origin([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]))  # equal distances: the lowest id answers
+    @example(boxes_off_the_origin([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]))  # one ulp apart: axes summed in reverse pick agent 1
     @settings(max_examples=300, deadline=None)
     def test_point_rule_equals_block_rule(self, case):
         # a single point is decided on its own path: the answer of ``_decide`` on its one-row block
@@ -466,6 +482,10 @@ class TestExploitation:
         assert report.activated_ids == ids[inside[0]].tolist()
         assert len(report.ncs_events) == (not inside.any())
         assert engine.predict(x) == int(labels[0])
+        if not inside.any():  # both paths share the nearest-box kernel: pin it to its reference order
+            pop = engine.agents
+            gap = np.maximum(np.maximum(pop.lower - x, x - pop.upper), 0.0)
+            assert report.winner_id == int(ids[np.hypot.reduce(gap, axis=-1).argmin()])
 
     def test_predict_builds_no_report(self, monkeypatch):
         engine = engine_with(

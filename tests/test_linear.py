@@ -335,6 +335,16 @@ class TestConfigAndSerialization:
             OnlineLinearModel.from_dict(d)
         assert LinearModelConfig.from_dict(d) == LinearModelConfig(kind=ModelKind.PA_I)  # a config reads its own keys
 
+    @pytest.mark.parametrize("change", [
+        lambda d: [],
+        lambda d: {**d, "alpha_reg": None},
+        lambda d: {**d, "weights": 3},
+    ], ids=["list", "null_alpha_reg", "number_weights"])
+    def test_from_dict_rejects_a_wrong_shape(self, change):
+        # a model file of the wrong shape ends in an error message, not a TypeError's traceback
+        with pytest.raises(ValueError, match="not shaped as to_dict writes one"):
+            OnlineLinearModel.from_dict(change(fresh(ModelKind.PA_I).to_dict()))
+
     @pytest.mark.parametrize("value", [-1, 2.5, True])
     def test_from_dict_rejects_a_step_count_that_is_not_a_count(self, value):
         d = {**fresh(ModelKind.PA_I).to_dict(), "step_count": value}
