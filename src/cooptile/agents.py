@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import checked, exclude, rescale
-from .linear import LinearModelConfig, _sigmoid, checked_count, linear_update, sample, store_floats
+from .linear import (MODEL_STATE, Keys, LinearModelConfig, _sigmoid, checked_value, linear_update, read_config, sample,
+                     store_floats)
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,7 @@ class EngineConfig:
     train_on_correct: bool = True
 
     def __post_init__(self) -> None:
-        for name, value in (("seed", self.seed), ("exploration_passes", self.exploration_passes)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, value in (("exclude_points", self.exclude_points), ("train_on_correct", self.train_on_correct)):
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        store_floats(self)
         if not 0 < self.init_radius < math.inf:
             raise ValueError("init_radius must be positive and finite")
         if self.overlap_threshold is not None and not 0.0 <= self.overlap_threshold <= 1.0:
@@ -66,18 +60,17 @@ class EngineConfig:
             raise ValueError("epsilon_scale must lie in (0, 0.5)")
         if self.exploration_passes < 1:
             raise ValueError("exploration_passes must be at least 1")
-        store_floats(self)
 
     def to_dict(self) -> dict:
         return dict(vars(self))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EngineConfig":
-        """The config of ``to_dict`` output; also reads the ``"normalization": "sigmoid"`` of older files."""
-        d = dict(d)
-        if d.pop("normalization", "sigmoid") != "sigmoid":
-            raise ValueError("normalization must be 'sigmoid', the only score function")
-        return cls(**d)
+    def from_dict(cls, d: dict, path: str = "config") -> "EngineConfig":
+        """The config of ``to_dict`` output, or of any of its keys, the others left to their defaults; also reads
+        the ``"normalization": "sigmoid"`` of older files."""
+        if isinstance(d, dict) and d.get("normalization", "sigmoid") != "sigmoid":
+            raise ValueError(f"{path}.normalization must be 'sigmoid', the only score function")
+        return read_config(cls, d, path, ("normalization",))
 
 
 class Population:
@@ -182,23 +175,25 @@ class Population:
         ]
 
     @classmethod
-    def from_dicts(cls, agents: list[dict], dim: int) -> "Population":
-        """The checked population of ``to_dicts`` output (keys only older files hold are ignored), sorted by id."""
+    def from_dicts(cls, agents: list[dict], dim: int, path: str = "agents") -> "Population":
+        """The population of ``to_dicts`` output, sorted by id, checked against ``AGENT`` (a missing
+        ``step_count`` reads as 0); ``path`` names the list in errors."""
         pop = cls(dim)
         rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
-             checked_count(d["model"].get("step_count", 0), "step_count"), d["confidence"],
-             _sigmoid(float(d["confidence"])))
-            for d in sorted(agents, key=lambda d: int(d["id"]))
+             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])))
+            for d in sorted(checked_value(agents, [AGENT], path), key=lambda d: d["id"])
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):
             # concatenating onto the empty (0, dim) arrays rejects a row of another dimension
             pop._buffers[name] = np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)])
         pop._live(len(rows))
-        if not all(np.isfinite(a).all() for a in (pop.lower, pop.upper, pop.weights, pop.bias, pop.confidence)):
-            raise ValueError("agent bounds, models and confidences must be finite")
         checked(pop.lower, pop.upper)
         if np.any(np.diff(pop.id) <= 0):
             raise ValueError("agent ids must be unique")
         return pop
 
+
+#: ``checked_value`` schema of one saved agent; older files also hold its creation cycle.
+AGENT = Keys({"id": int, "region": Keys({"lower": [float], "upper": [float]}), "confidence": float,
+              "model": MODEL_STATE}, dropped=("creation_cycle",))

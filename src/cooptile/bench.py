@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .agents import EngineConfig
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, standardize
 from .engine import Engine
-from .linear import LinearModelConfig, ModelKind, OnlineLinearModel
+from .linear import Keys, LinearModelConfig, ModelKind, OnlineLinearModel, checked_value, read_config
 
 #: Classifier kinds benchmarked, in reporting order.
 KINDS = (ModelKind.LOGIT, ModelKind.LINEAR_SVM, ModelKind.PA_I, ModelKind.PA_II)
@@ -149,16 +148,18 @@ class ResultRecord:
         return dict(vars(self))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        """The record of ``to_dict`` output; raises ``ValueError`` unless ``d`` holds exactly its fields,
-        ``best_params`` a JSON object."""
-        names = [f.name for f in fields(cls)]
-        if not isinstance(d, dict) or set(d) != set(names):
-            got = sorted(d) if isinstance(d, dict) else type(d).__name__
-            raise ValueError(f"a result record holds exactly the keys {names}, got {got}")
-        if not isinstance(d["best_params"], dict):
-            raise ValueError(f"a result record's best_params is a JSON object, got {type(d['best_params']).__name__}")
-        return cls(**d)
+    def from_dict(cls, d: dict, path: str = "record") -> "ResultRecord":
+        """The record of ``to_dict`` output, its ``best_params`` checked by building the configs they describe,
+        with any seed and pass count."""
+        record = cls(**checked_value(d, Keys({"dataset": str, "kind": str, "stage": str, "best_params": None,
+                                              "fold_accuracies": [float], "mean_accuracy": float}), path))
+        params, path = record.best_params, f"{path}.best_params"
+        if record.stage == STAGE_MAS:
+            params = checked_value(params, Keys({"engine": None, "model": None}), path)
+            read_config(EngineConfig, params["engine"], f"{path}.engine", seed=0, exploration_passes=1)
+            params, path = params["model"], f"{path}.model"
+        read_config(LinearModelConfig, params, path, kind=record.kind)
+        return record
 
 
 def _cell_scores(X, Y, folds, train, fit_seed: int, ci: int, cell: dict) -> list[float]:
@@ -174,6 +175,8 @@ def _grid_search(ds: Dataset, kind: ModelKind, stage: str, train, grid: list[dic
                  n_folds: int, cv_seed: int, fit_seed: int, jobs: int, dataset_name: str | None) -> ResultRecord:
     """Stratified-CV search of ``grid`` with ``train(cell, X, Y, seed)``: the first cell of highest mean
     accuracy wins, and its record reports ``best_params(cell)``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     score = functools.partial(_cell_scores, ds.X, ds.Y, kfold_split(ds.Y, n_folds, cv_seed), train, fit_seed)
     if jobs > 1:
         # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
@@ -221,8 +224,8 @@ def grid_search_linear(
 
 def train_engine(kind: ModelKind, params: dict, cell: dict, X, Y, seed: int, passes: int, trace=None) -> Engine:
     """A step-2 cell: an engine of ``cell`` trained on ``(X, Y)``, its agents holding the ``kind``
-    classifier with ``params`` (other keys ignored); ``trace`` receives ``Engine.train``'s cycle log."""
-    model_cfg = LinearModelConfig.from_dict({"kind": kind.value, **params})
+    classifier with ``params``, read by ``read_config``; ``trace`` receives ``Engine.train``'s cycle log."""
+    model_cfg = read_config(LinearModelConfig, params, "params", kind=kind)
     cfg = EngineConfig(**cell, seed=seed, exploration_passes=passes)
     return Engine(cfg, model_cfg, dim=X.shape[1]).train(X, Y, trace=trace)
 
@@ -349,32 +352,17 @@ _CONFIG_DEFAULTS = {
     "jobs": 1,
 }
 
-_CONFIG_INT_KEYS = ("n", "folds", "epochs", "exploration_passes", "data_seed", "cv_seed", "fit_seed", "jobs")
-
-
 def experiment_config(overrides: dict | None = None) -> dict:
-    """Merge overrides into the default experiment config, validating early."""
-    config = dict(_CONFIG_DEFAULTS)
-    overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict):
-        raise ValueError(f"config must be a JSON object, got {type(overrides).__name__}")
-    unknown = set(overrides) - set(config)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}; valid keys: {sorted(config)}")
-    config.update(overrides)
-    for key in _CONFIG_INT_KEYS:
-        if not isinstance(config[key], int) or isinstance(config[key], bool):
-            raise ValueError(f"config key {key!r} must be an integer, got {config[key]!r}")
+    """Merge overrides into the default experiment config, validating early: each override has its default's type."""
+    schema = Keys({}, {key: type(value) for key, value in _CONFIG_DEFAULTS.items()})
+    config = {**_CONFIG_DEFAULTS, **checked_value({} if overrides is None else overrides, schema, "config")}
     if config["folds"] < 2:
         raise ValueError("folds must be at least 2")
     if config["n"] < 2 * config["folds"]:
         raise ValueError("n too small for the requested fold count")
-    if config["epochs"] < 0 or config["exploration_passes"] < 1 or config["jobs"] < 1:
-        raise ValueError("epochs must be >= 0, exploration_passes and jobs >= 1")
-    for key in ("noise_moons", "noise_circles", "circles_factor"):
-        if not isinstance(config[key], (int, float)) or isinstance(config[key], bool):
-            raise ValueError(f"config key {key!r} must be a number, got {config[key]!r}")
-    if not (0 <= config["noise_moons"] < math.inf and 0 <= config["noise_circles"] < math.inf):
+    if config["exploration_passes"] < 1 or config["jobs"] < 1:
+        raise ValueError("exploration_passes and jobs must be at least 1")
+    if not (config["noise_moons"] >= 0 and config["noise_circles"] >= 0):
         raise ValueError("noise_moons and noise_circles must be non-negative and finite")
     if not 0.0 < config["circles_factor"] < 1.0:
         raise ValueError("circles_factor must lie strictly between 0 and 1")

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linear import Keys, checked_value
+
 
 @dataclass
 class Dataset:
@@ -148,7 +150,7 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a ``x1,x2,y`` file written by :func:`save_csv`."""
+    """Read a ``x1,x2,y`` file written by :func:`save_csv`, and its manifest, if any, by ``checked_value``."""
     path = Path(path)
     with open(path) as f:
         header = f.readline().strip()
@@ -169,6 +171,7 @@ def load_csv(path) -> Dataset:
                 raise ValueError(f"{path}: line {lineno}: {err}") from None
     manifest = path.with_suffix(path.suffix + ".json")
     meta = {}
-    if manifest.exists():
-        meta = json.loads(manifest.read_text())
+    if manifest.exists():  # the generator parameters that save_csv writes
+        params = {"generator": str, "n": int, "noise": float, "factor": float, "seed": int, "standardized": bool}
+        meta = checked_value(json.loads(manifest.read_text()), Keys({}, params), str(manifest))
     return Dataset(np.asarray(xs, dtype=float), np.asarray(ys, dtype=int), meta=meta)

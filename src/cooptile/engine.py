@@ -58,7 +58,7 @@ import numpy as np
 
 from .agents import EngineConfig, Population
 from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, overlapping, push
-from .linear import LinearModelConfig, checked_count, checked_points, checked_samples
+from .linear import Keys, LinearModelConfig, checked_points, checked_samples, checked_value
 
 #: Maximal score difference still treated as a tie in winner selection.
 SCORE_TIE_TOL = 1e-12
@@ -332,25 +332,16 @@ class Engine:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Engine":
-        """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``.
-
-        A snapshot without one of its keys, or an agent without one of its
-        own, raises ``ValueError`` naming the key, as does a counter (cycle,
-        next agent id, agent id, step count) that is not a non-negative integer.
-        """
-        try:
-            next_id = checked_count(snap["next_agent_id"], "next_agent_id")
-            top = max((checked_count(a["id"], "id") for a in snap["agents"]), default=-1)
-            if next_id <= top:  # checked before anything is built
-                raise ValueError(f"next_agent_id {next_id} must exceed the largest agent id {top}")
-            cfg = EngineConfig.from_dict(snap["config"])
-            model_cfg = LinearModelConfig.from_dict(snap["model_config"])
-            engine = cls(cfg, model_cfg, dim=snap["dim"])
-            engine.cycle = checked_count(snap["cycle"], "cycle")
-            engine._next_id = next_id
-            engine.agents = Population.from_dicts(snap["agents"], engine.dim)
-        except KeyError as missing:
-            raise ValueError(f"snapshot lacks the key {missing}") from None
-        except TypeError as err:  # say, a list or a number where an object belongs
-            raise ValueError(f"snapshot is not shaped as snapshot() writes one: {err}") from None
+        """The engine of ``snapshot()`` output; every agent trains with the snapshot's ``model_config``. The
+        snapshot is checked by ``linear.checked_value``, its configs by ``from_dict``, ``dim`` by the constructor
+        and its agents by ``Population.from_dicts``, each misfit raising ``ValueError`` naming its path."""
+        snap = checked_value(snap, Keys({"config": None, "model_config": None, "dim": None, "cycle": int,
+                                         "next_agent_id": int, "agents": None}), "snapshot")
+        cfg = EngineConfig.from_dict(snap["config"], "snapshot.config")
+        model_cfg = LinearModelConfig.from_dict(snap["model_config"], "snapshot.model_config")
+        engine = cls(cfg, model_cfg, dim=snap["dim"])
+        engine.cycle, engine._next_id = snap["cycle"], snap["next_agent_id"]
+        engine.agents = Population.from_dicts(snap["agents"], engine.dim, "snapshot.agents")
+        if len(engine.agents) and engine._next_id <= engine.agents.id[-1]:
+            raise ValueError(f"next_agent_id {engine._next_id} must exceed the largest agent id {engine.agents.id[-1]}")
         return engine

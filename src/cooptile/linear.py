@@ -26,8 +26,10 @@ mix (elastic net); the bias is never shrunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,7 @@ class LinearModelConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ModelKind(self.kind))
         object.__setattr__(self, "penalty", Penalty(self.penalty))
+        store_floats(self)
         if not 0 <= self.alpha_reg < math.inf:
             raise ValueError("alpha_reg must be non-negative and finite")
         if not 0.0 <= self.l1_ratio <= 1.0:
@@ -75,7 +78,6 @@ class LinearModelConfig:
             raise ValueError("aggressiveness_c must be positive")
         if not 0 < self.learning_rate0 < math.inf:
             raise ValueError("learning_rate0 must be positive and finite")
-        store_floats(self)
 
     def build(self, dim: int) -> "OnlineLinearModel":
         """Fresh zero-weight model of this configuration."""
@@ -85,26 +87,86 @@ class LinearModelConfig:
         return {**vars(self), "kind": self.kind.value, "penalty": self.penalty.value}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LinearModelConfig":
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+    def from_dict(cls, d: dict, path: str = "model_config") -> "LinearModelConfig":
+        """The config of ``to_dict`` output, or of any of its keys but ``kind`` left to their defaults."""
+        return read_config(cls, d, path)
 
 
 def store_floats(cfg) -> None:
-    """Store each ``float`` field of the validated frozen dataclass ``cfg`` as a Python float (``None``
-    stays), so that equal configs, say of ``1`` and ``1.0``, compute and write alike; a bool is rejected."""
+    """Check each number or bool field of the frozen dataclass ``cfg`` by ``checked_value`` (an ``int`` field is a
+    count, and ``None`` passes where the annotation allows it), and store each float field as a Python float, so
+    that equal configs, say of ``1`` and ``1.0``, compute and write alike."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type in ("float", "float | None") and value is not None:
-            if isinstance(value, bool):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-            object.__setattr__(cfg, f.name, float(value))
+        schema = {"float": Real, "float | None": Real, "int": int, "bool": bool}.get(f.type)
+        if schema is not None and not (value is None and f.type == "float | None"):
+            checked_value(value, schema, f.name)
+            if schema is Real:
+                object.__setattr__(cfg, f.name, float(value))
 
 
-def checked_count(value, name: str) -> int:
-    """``value``, read from a saved file, checked to be a non-negative integer and not a bool."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
+class Keys(NamedTuple):
+    """``checked_value`` schema of a JSON object: the schema of each ``required`` and ``optional`` key, and the keys
+    ``dropped`` unread, those of older files or of another reader."""
+
+    required: dict
+    optional: dict = {}
+    dropped: tuple = ()
+
+
+def checked_value(value, schema, path: str):
+    """``value`` (as read from a saved file) checked against ``schema``, or ``ValueError`` naming the path of the
+    first misfit, such as ``snapshot.agents[3].model.step_count``; an object comes back without its dropped keys.
+
+    A schema is ``int`` (a non-negative integer), ``float`` (a finite number), ``Real`` (any number), ``str`` or
+    ``bool``, a bool being no number; ``None`` for a value whose reader checks it; ``[item]`` for a JSON array of
+    ``item``; or ``Keys``.
+    """
+    if schema is None or (type(value) is schema and (schema is not int or value >= 0)
+                          and (schema is not float or math.isfinite(value))):
+        return value  # a leaf of exactly its type, the common case, skips the checks below
+    if isinstance(schema, Keys):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be a JSON object, got {type(value).__name__}")
+        known = {**schema.required, **schema.optional}
+        for key in [*schema.required, *value]:
+            if key not in value:
+                raise ValueError(f"{path} lacks the key {key!r}")
+            if key not in known and key not in schema.dropped:
+                keys = sorted([*known, *schema.dropped])
+                raise ValueError(f"{path} holds the unknown key {key!r}; its keys are {keys}")
+        return {key: checked_value(item, known[key], f"{path}.{key}") for key, item in value.items() if key in known}
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a JSON array, got {type(value).__name__}")
+        if schema[0] is float and all(type(item) is float and math.isfinite(item) for item in value):
+            return value  # the commonest array, without a call per item
+        return [checked_value(item, schema[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    kind = Integral if schema is int else Real if schema is float else schema
+    if (isinstance(value, bool) is not (schema is bool) or not isinstance(value, kind)
+            or (schema is int and value < 0) or (schema is float and not math.isfinite(value))):
+        want = {int: "a non-negative integer", float: "a finite number", Real: "a number"}.get(schema)
+        raise ValueError(f"{path} must be {want or 'a ' + schema.__name__}, got {value!r}")
+    return value
+
+
+def read_config(cls, d, path: str, dropped: tuple = (), **fixed):
+    """The frozen dataclass ``cls`` of the saved object ``d``, which holds each field not ``fixed`` here (those
+    with a default may be missing) and maybe the ``dropped`` keys; the constructor checks each value, and its
+    ``ValueError`` names ``path``."""
+    names = [f.name for f in fields(cls) if f.name not in fixed]
+    required = [f.name for f in fields(cls) if f.name in names and f.default is MISSING]
+    kwargs = checked_value(d, Keys(dict.fromkeys(required), dict.fromkeys(names), dropped), path)
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+#: ``checked_value`` schema of a saved model's state. It drops the keys of the model's config, which
+#: ``OnlineLinearModel.from_dict`` reads by ``read_config``, and which older snapshots held in each agent's model.
+MODEL_STATE = Keys({"weights": [float], "bias": float}, {"step_count": int},
+                   tuple(f.name for f in fields(LinearModelConfig)))
 
 
 def _sigmoid(z: float) -> float:
@@ -240,6 +302,7 @@ class OnlineLinearModel:
 
     def fit(self, X, Y, epochs: int = 100, seed: int = 0) -> "OnlineLinearModel":
         """Run ``epochs`` shuffled passes of single-sample updates, checking the samples once."""
+        checked_value(epochs, int, "epochs")
         X, labels = checked_samples(X, Y, self.dim, "model")
         cfg, rng = self.config, np.random.default_rng(seed)
         samples = [sample(cfg, x, y) for x, y in zip(X, labels)]
@@ -259,18 +322,11 @@ class OnlineLinearModel:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "OnlineLinearModel":
-        """The model of ``to_dict`` output; a key it does not write, or a value of the wrong type, is rejected."""
-        try:
-            unknown = set(d) - {f.name for f in fields(LinearModelConfig)} - {"weights", "bias", "step_count"}
-            if unknown:
-                raise ValueError(f"a linear model holds no key {sorted(unknown)}")
-            model = cls(LinearModelConfig.from_dict(d), len(d["weights"]))
-            model.weights = np.asarray(d["weights"], dtype=float)
-            model.bias = float(d["bias"])
-        except TypeError as err:  # say, a list for the model, null for a number, a number for the weights
-            raise ValueError(f"a linear model is not shaped as to_dict writes one: {err}") from None
-        model.step_count = checked_count(d.get("step_count", 0), "step_count")
-        if not (np.isfinite(model.weights).all() and math.isfinite(model.bias)):
-            raise ValueError("model weights and bias must be finite")
+    def from_dict(cls, d: dict, path: str = "model") -> "OnlineLinearModel":
+        """The model of ``to_dict`` output: its state checked against ``MODEL_STATE`` (a missing ``step_count``
+        reads as 0), its config read by ``read_config``."""
+        state = checked_value(d, MODEL_STATE, path)
+        model = cls(read_config(LinearModelConfig, d, path, ("weights", "bias", "step_count")), len(state["weights"]))
+        model.weights, model.bias = np.array(state["weights"], dtype=float), float(state["bias"])
+        model.step_count = state.get("step_count", 0)
         return model

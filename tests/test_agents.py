@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,11 +167,22 @@ class TestEngineConfig:
             assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(as_floats.to_dict(), sort_keys=True)
             assert type(cfg.init_radius) is float and type(cfg.seed) is int
 
+    @pytest.mark.parametrize("saved,message", [
+        ([], "config must be a JSON object, got list"),
+        ({"init_radius": 0.2, "radius": 0.2}, "config holds the unknown key 'radius'"),
+        ({"init_radius": "0.2"}, "config: init_radius must be a number, got '0.2'"),
+    ], ids=["list", "unknown_key", "string"])
+    def test_from_dict_rejects_what_to_dict_never_writes(self, saved, message):
+        # the list once loaded as the default config, and the others ended in a TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EngineConfig.from_dict(saved)
+
     def test_older_files_normalization_key(self):
         # older files carry "normalization": "sigmoid", the one score function there is
-        assert EngineConfig.from_dict({"normalization": "sigmoid", "seed": 3}) == EngineConfig(seed=3)
-        with pytest.raises(ValueError, match="normalization"):
-            EngineConfig.from_dict({"normalization": "tanh"})
+        saved = EngineConfig(seed=3).to_dict()
+        assert EngineConfig.from_dict({**saved, "normalization": "sigmoid"}) == EngineConfig(seed=3)
+        with pytest.raises(ValueError, match="config.normalization must be 'sigmoid', the only score function"):
+            EngineConfig.from_dict({**saved, "normalization": "tanh"})
 
     def test_grid_values_are_valid(self):
         # every cell of the benchmark engine grid must construct

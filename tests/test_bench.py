@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestExperimentConfig:
         assert config["n"] == 100 and config["folds"] == 5
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config"):
+        with pytest.raises(ValueError, match="config holds the unknown key 'bogus'"):
             experiment_config({"bogus": 1})
 
     def test_bad_types_rejected(self):
@@ -272,11 +273,11 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("overrides,match", [
         ({"folds": 1}, "folds"),
         ({"folds": 0}, "folds"),
-        ({"folds": -2}, "folds"),
+        ({"folds": -2}, "config.folds must be a non-negative integer, got -2"),
         ({"noise_moons": -0.1}, "non-negative"),
         ({"noise_circles": -1}, "non-negative"),
-        ({"noise_moons": math.nan}, "non-negative"),
-        ({"noise_circles": math.inf}, "non-negative"),
+        ({"noise_moons": math.nan}, "config.noise_moons must be a finite number, got nan"),
+        ({"noise_circles": math.inf}, "config.noise_circles must be a finite number, got inf"),
     ])
     def test_out_of_range_values_rejected(self, overrides, match):
         # each used to pass validation and fail later (or, for noise, act as 0)
@@ -331,9 +332,12 @@ class TestRunExperiment:
         saved = ResultRecord("moons", "pa1", "ALONE", {"aggressiveness_c": 1.0}, [0.5, 1.0], 0.75).to_dict()
         assert ResultRecord.from_dict(saved).to_dict() == saved
         missing = {k: v for k, v in saved.items() if k != "kind"}
-        for bad in (missing, {**saved, "extra": 1}, saved["best_params"], [saved]):
-            with pytest.raises(ValueError, match="exactly the keys"):
+        for bad, message in ((missing, "record lacks the key 'kind'"),
+                             ({**saved, "extra": 1}, "record holds the unknown key 'extra'"),
+                             (saved["best_params"], "record lacks the key 'dataset'"),
+                             ([saved], "record must be a JSON object, got list")):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 ResultRecord.from_dict(bad)
         for bad in ([1], None, "pa1"):
-            with pytest.raises(ValueError, match="best_params is a JSON object"):
+            with pytest.raises(ValueError, match=f"record.best_params must be a JSON object, got {type(bad).__name__}"):
                 ResultRecord.from_dict({**saved, "best_params": bad})

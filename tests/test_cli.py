@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import cooptile.bench as bench
+from cooptile.agents import EngineConfig
 from cooptile.cli import main
 from cooptile.datasets import load_csv
 from cooptile.linear import LinearModelConfig
@@ -142,7 +143,7 @@ class TestFitCommands:
         out = tmp_path / "boundary.csv"
         result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: snapshot lacks the key 'next_agent_id'" in result.output
+        assert "Error: snapshot lacks the key 'config'" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("reshape", ["snapshot", "agent", "region"])
@@ -151,20 +152,21 @@ class TestFitCommands:
         data = gen(runner, tmp_path)
         agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
                  "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
-        snapshot = {"config": {}, "model_config": {"kind": "pa1"}, "dim": 2, "cycle": 0, "next_agent_id": 2,
-                    "agents": [agent, {**agent, "id": 1}]}
+        snapshot = {"config": EngineConfig().to_dict(), "model_config": LinearModelConfig(kind="pa1").to_dict(),
+                    "dim": 2, "cycle": 0, "next_agent_id": 2, "agents": [agent, {**agent, "id": 1}]}
         if reshape == "snapshot":
-            snapshot = []
+            snapshot, message = [], "snapshot must be a JSON object, got list"
         elif reshape == "agent":
-            snapshot["agents"][1] = 1
+            snapshot["agents"][1], message = 1, "snapshot.agents[1] must be a JSON object, got int"
         else:
             snapshot["agents"][1]["region"] = None
+            message = "snapshot.agents[1].region must be a JSON object, got NoneType"
         model = tmp_path / "engine.json"
         model.write_text(json.dumps({"type": "engine", "snapshot": snapshot}))
         out = tmp_path / "boundary.csv"
         result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: snapshot is not shaped as snapshot() writes one" in result.output
+        assert f"Error: {message}" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["engine", "linear"])
@@ -174,12 +176,13 @@ class TestFitCommands:
         if kind == "engine":
             agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
                      "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
-            payload = {"snapshot": {"config": {}, "model_config": {"kind": "pa1"}, "dim": 2, "cycle": -1,
+            payload = {"snapshot": {"config": EngineConfig().to_dict(),
+                                    "model_config": LinearModelConfig(kind="pa1").to_dict(), "dim": 2, "cycle": -1,
                                     "next_agent_id": 1, "agents": [agent]}}
-            message = "Error: cycle must be a non-negative integer, got -1"
+            message = "Error: snapshot.cycle must be a non-negative integer, got -1"
         else:
             payload = {"model": {**LinearModelConfig(kind="pa1").build(2).to_dict(), "momentum": 0.9}}
-            message = "Error: a linear model holds no key ['momentum']"
+            message = "Error: model holds the unknown key 'momentum'"
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"type": kind, **payload}))
         out = tmp_path / "boundary.csv"
@@ -199,8 +202,53 @@ class TestFitCommands:
         result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
                                       "--out", str(mas_out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: a result record's best_params is a JSON object, got list" in result.output
+        assert "Error: record.best_params must be a JSON object, got list" in result.output
         assert not mas_out.exists()
+
+    @pytest.mark.parametrize("best_params,message", [
+        ({"aggressiveness_c": 1.0, "momentum": 0.9}, "record.best_params holds the unknown key 'momentum'"),
+        ({"aggressiveness_c": "1.0"}, "record.best_params: aggressiveness_c must be a number, got '1.0'"),
+    ], ids=["unknown_key", "string"])
+    def test_fit_mas_rejects_best_params_fit_linear_never_writes(self, runner, tmp_path, best_params, message):
+        # the unknown key was once dropped without a word, and the string ended in a TypeError's traceback
+        data = gen(runner, tmp_path)
+        alone = tmp_path / "alone.json"
+        record = bench.ResultRecord("linear", "pa1", "ALONE", best_params, [1.0] * 5, 1.0)
+        alone.write_text(json.dumps(record.to_dict()))
+        mas_out = tmp_path / "mas.json"
+        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
+                                      "--out", str(mas_out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert not mas_out.exists()
+
+    def test_fit_mas_rejects_zero_jobs(self, runner, tmp_path):
+        # once ran serially without a word
+        data = gen(runner, tmp_path)
+        alone = tmp_path / "alone.json"
+        record = bench.ResultRecord("linear", "pa1", "ALONE", {"aggressiveness_c": 1.0}, [1.0] * 5, 1.0)
+        alone.write_text(json.dumps(record.to_dict()))
+        mas_out = tmp_path / "mas.json"
+        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
+                                      "--jobs", "0", "--out", str(mas_out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: jobs must be at least 1, got 0" in result.output
+        assert not mas_out.exists()
+
+    @pytest.mark.parametrize("manifest,options,message", [
+        ("[]", [], "linear.csv.json must be a JSON object, got list"),
+        (None, ["--epochs", "-3"], "epochs must be a non-negative integer, got -3"),
+    ], ids=["list_manifest", "negative_epochs"])
+    def test_fit_linear_rejects_a_value_nothing_writes(self, runner, tmp_path, manifest, options, message):
+        # a list manifest once ended in an AttributeError's traceback, and -3 epochs trained nothing
+        data = gen(runner, tmp_path)
+        if manifest is not None:
+            (tmp_path / "linear.csv.json").write_text(manifest)
+        out = tmp_path / "alone.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", *options, "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {tmp_path / message if manifest else message}" in result.output
+        assert not out.exists()
 
 
 class TestReproduce:
@@ -211,12 +259,12 @@ class TestReproduce:
             "reproduce", "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: unknown config keys" in result.output
+        assert "Error: config holds the unknown key 'bogus_key'" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config,option,message", [
         ({"folds": 1}, [], "folds must be at least 2"),
-        ({}, ["--jobs", "0"], "epochs must be >= 0, exploration_passes and jobs >= 1"),
+        ({}, ["--jobs", "0"], "exploration_passes and jobs must be at least 1"),
         ([1], ["--jobs", "2"], "config must be a JSON object"),
     ])
     def test_bad_values_rejected_without_traceback(self, runner, tmp_path, config, option, message):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 from collections import deque
 from itertools import combinations
@@ -37,6 +38,11 @@ def agent_dict(agent_id: int, lo, up, weights=(0.0, 0.0), bias=0.0, confidence: 
         "confidence": float(confidence),
         "model": {"weights": [float(w) for w in weights], "bias": float(bias), "step_count": 0},
     }
+
+
+def snapshot_path(keys) -> str:
+    """The path a snapshot reader names for the value under ``keys``, such as ``snapshot.agents[1].id``."""
+    return "snapshot" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
 
 
 def constant_agent(agent_id: int, lo, up, proposes: int, confidence: float = 0.0) -> dict:
@@ -805,16 +811,19 @@ class TestDeterminismAndPersistence:
         engine.explore_step([-5.0, -5.0], 1)  # uncovered: creates an agent
         assert engine.agents.id.tolist() == [*agent_ids, max(agent_ids) + 1]
 
-    @pytest.mark.parametrize("field,value", [
-        ("confidence", float("nan")), ("weights", [float("nan"), 0.0]), ("bias", float("nan")),
-        ("bias", float("inf")), ("upper", [1.0, float("inf")]),
+    @pytest.mark.parametrize("field,value,message", [
+        ("confidence", float("nan"), "confidence must be a finite number, got nan"),
+        ("weights", [float("nan"), 0.0], "model.weights[0] must be a finite number, got nan"),
+        ("bias", float("nan"), "model.bias must be a finite number, got nan"),
+        ("bias", float("inf"), "model.bias must be a finite number, got inf"),
+        ("upper", [1.0, float("inf")], "region.upper[1] must be a finite number, got inf"),
     ])
-    def test_non_finite_snapshot_values_rejected(self, field, value):
+    def test_non_finite_snapshot_values_rejected(self, field, value, message):
         # a NaN confidence once loaded silently and changed predict_batch labels
         agents = [agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])]
         a = agents[0]
         {"confidence": a, "weights": a["model"], "bias": a["model"], "upper": a["region"]}[field][field] = value
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(f"snapshot.agents[0].{message}")):
             engine_with(*agents)
 
     @pytest.mark.parametrize("path", [
@@ -828,11 +837,15 @@ class TestDeterminismAndPersistence:
         for key in path[:-1]:
             parent = parent[key]
         del parent[path[-1]]
-        with pytest.raises(ValueError, match=f"snapshot lacks the key '{path[-1]}'"):
+        with pytest.raises(ValueError, match=re.escape(f"{snapshot_path(path[:-1])} lacks the key '{path[-1]}'")):
             Engine.from_snapshot(snap)
 
-    @pytest.mark.parametrize("reshape", ["snapshot", "agent", "region"])
-    def test_snapshot_of_the_wrong_shape_rejected(self, reshape):
+    @pytest.mark.parametrize("reshape,message", [
+        ("snapshot", "snapshot must be a JSON object, got list"),
+        ("agent", "snapshot.agents[1] must be a JSON object, got int"),
+        ("region", "snapshot.agents[1].region must be a JSON object, got NoneType"),
+    ])
+    def test_snapshot_of_the_wrong_shape_rejected(self, reshape, message):
         snap = engine_with(agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])).snapshot()
         if reshape == "snapshot":
             snap = []
@@ -840,7 +853,7 @@ class TestDeterminismAndPersistence:
             snap["agents"][1] = 1
         else:
             snap["agents"][1]["region"] = None
-        with pytest.raises(ValueError, match=r"snapshot is not shaped as snapshot\(\) writes one"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Engine.from_snapshot(snap)
 
     @pytest.mark.parametrize("path,value", [
@@ -855,7 +868,8 @@ class TestDeterminismAndPersistence:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        with pytest.raises(ValueError, match=f"{path[-1]} must be a non-negative integer"):
+        message = f"{snapshot_path(path)} must be a non-negative integer, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Engine.from_snapshot(snap)
 
     def test_snapshot_of_older_format_loads(self):

@@ -3,6 +3,7 @@ finite-difference gradient checks."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,14 @@ class TestFit:
         assert np.array_equal(m.weights, [0.0, 0.0])
         assert m.bias == 0.0 and m.step_count == 0
 
+    @pytest.mark.parametrize("epochs", [-3, 2.5, True])
+    def test_fit_rejects_an_epoch_count_that_is_not_a_count(self, epochs):
+        # -3 once trained nothing without a word, and True one epoch
+        m = fresh(ModelKind.LOGIT)
+        with pytest.raises(ValueError, match=f"epochs must be a non-negative integer, got {epochs}"):
+            m.fit([[0.0, 1.0], [1.0, 0.0]], [0, 1], epochs=epochs)
+        assert m.step_count == 0
+
     def test_partial_fit_rejects_non_finite_point(self):
         m = fresh(ModelKind.LOGIT)
         with pytest.raises(ValueError, match="non-finite"):
@@ -322,33 +331,42 @@ class TestConfigAndSerialization:
         X = np.random.default_rng(0).normal(size=(20, 2))
         assert np.array_equal(restored.predict_batch(X), m.predict_batch(X))
 
-    @pytest.mark.parametrize("field,value", [("weights", [float("nan"), 0.0]), ("bias", float("inf"))])
-    def test_from_dict_rejects_non_finite_state(self, field, value):
+    @pytest.mark.parametrize("field,value,message", [
+        ("weights", [float("nan"), 0.0], "model.weights[0] must be a finite number, got nan"),
+        ("bias", float("inf"), "model.bias must be a finite number, got inf"),
+    ])
+    def test_from_dict_rejects_non_finite_state(self, field, value, message):
         d = fresh(ModelKind.PA_I).to_dict()
         d[field] = value
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             OnlineLinearModel.from_dict(d)
 
     def test_from_dict_rejects_an_unknown_key(self):
         d = {**fresh(ModelKind.PA_I).to_dict(), "momentum": 0.9}
-        with pytest.raises(ValueError, match="momentum"):
+        with pytest.raises(ValueError, match="model holds the unknown key 'momentum'"):
             OnlineLinearModel.from_dict(d)
-        assert LinearModelConfig.from_dict(d) == LinearModelConfig(kind=ModelKind.PA_I)  # a config reads its own keys
 
-    @pytest.mark.parametrize("change", [
-        lambda d: [],
-        lambda d: {**d, "alpha_reg": None},
-        lambda d: {**d, "weights": 3},
-    ], ids=["list", "null_alpha_reg", "number_weights"])
-    def test_from_dict_rejects_a_wrong_shape(self, change):
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: [], "model must be a JSON object, got list"),
+        (lambda d: {**d, "alpha_reg": None}, "model: alpha_reg must be a number, got None"),
+        (lambda d: {**d, "weights": 3}, "model.weights must be a JSON array, got int"),
+        # each of these once loaded as a number or, the last, as a (1, 2) weight matrix
+        (lambda d: {**d, "weights": ["1", "2"]}, "model.weights[0] must be a finite number, got '1'"),
+        (lambda d: {**d, "weights": [True, False]}, "model.weights[0] must be a finite number, got True"),
+        (lambda d: {**d, "bias": "0.5"}, "model.bias must be a finite number, got '0.5'"),
+        (lambda d: {**d, "bias": True}, "model.bias must be a finite number, got True"),
+        (lambda d: {**d, "weights": [[1.0, 2.0]]}, "model.weights[0] must be a finite number, got [1.0, 2.0]"),
+    ], ids=["list", "null_alpha_reg", "number_weights", "string_weights", "bool_weights", "string_bias", "bool_bias",
+            "weight_matrix"])
+    def test_from_dict_rejects_a_wrong_shape(self, change, message):
         # a model file of the wrong shape ends in an error message, not a TypeError's traceback
-        with pytest.raises(ValueError, match="not shaped as to_dict writes one"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             OnlineLinearModel.from_dict(change(fresh(ModelKind.PA_I).to_dict()))
 
     @pytest.mark.parametrize("value", [-1, 2.5, True])
     def test_from_dict_rejects_a_step_count_that_is_not_a_count(self, value):
         d = {**fresh(ModelKind.PA_I).to_dict(), "step_count": value}
-        with pytest.raises(ValueError, match="step_count must be a non-negative integer"):
+        with pytest.raises(ValueError, match=f"model.step_count must be a non-negative integer, got {value}"):
             OnlineLinearModel.from_dict(d)
 
     def test_invalid_label(self):
