@@ -135,10 +135,6 @@ class Population:
             end += stop - row - 1
         self._live(end)
 
-    def propose(self, i: int, x: np.ndarray) -> int:
-        """Row ``i``'s class proposal at ``x``: 1 when ``w . x + b >= 0``."""
-        return 1 if float(self.weights[i] @ x) + self.bias[i] >= 0.0 else 0
-
     def fit(self, i: int, x: np.ndarray, y: int, model_cfg: LinearModelConfig) -> None:
         """One update of row ``i``'s linear model on the checked sample ``(x, y)``."""
         self.bias[i] = linear_update(model_cfg, self.weights[i], float(self.bias[i]), int(self.step_count[i]),
@@ -177,16 +173,21 @@ class Population:
     @classmethod
     def from_dicts(cls, agents: list[dict], dim: int, path: str = "agents") -> "Population":
         """The population of ``to_dicts`` output, sorted by id, checked against ``AGENT`` (a missing
-        ``step_count`` reads as 0); ``path`` names the list in errors."""
+        ``step_count`` reads as 0) and each vector against ``dim``; ``path`` names the list in errors."""
+        agents = checked_value(agents, [AGENT], path)
+        for k, d in enumerate(agents):
+            for key, vector in zip(("region.lower", "region.upper", "model.weights"),
+                                   (d["region"]["lower"], d["region"]["upper"], d["model"]["weights"])):
+                if len(vector) != dim:
+                    raise ValueError(f"{path}[{k}].{key} must hold {dim} numbers, got {len(vector)}")
         pop = cls(dim)
         rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
              d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])))
-            for d in sorted(checked_value(agents, [AGENT], path), key=lambda d: d["id"])
+            for d in sorted(agents, key=lambda d: d["id"])
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):
-            # concatenating onto the empty (0, dim) arrays rejects a row of another dimension
-            pop._buffers[name] = np.concatenate([getattr(pop, name), np.array(column, dtype=dtype)])
+            pop._buffers[name] = np.array(column, dtype=dtype)
         pop._live(len(rows))
         checked(pop.lower, pop.upper)
         if np.any(np.diff(pop.id) <= 0):

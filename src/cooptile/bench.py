@@ -16,7 +16,6 @@ order-independent, so results are identical for any worker count.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,8 @@ import numpy as np
 from .agents import EngineConfig
 from .datasets import Dataset, gen_circles, gen_linear, gen_moons, standardize
 from .engine import Engine
-from .linear import Keys, LinearModelConfig, ModelKind, OnlineLinearModel, checked_value, read_config
+from .linear import (Keys, LinearModelConfig, ModelKind, OnlineLinearModel, checked_value, opened, read_config,
+                     write_json)
 
 #: Classifier kinds benchmarked, in reporting order.
 KINDS = (ModelKind.LOGIT, ModelKind.LINEAR_SVM, ModelKind.PA_I, ModelKind.PA_II)
@@ -263,7 +263,7 @@ class BoundaryGrid:
     labels: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with opened(path) as f:
             f.write("x1,x2,yhat\n")
             for i, x in enumerate(self.xs):
                 for j, y in enumerate(self.ys):
@@ -431,20 +431,10 @@ def run_experiment(
 def write_results(records: list[ResultRecord], out_dir) -> None:
     """Write ``results.json`` plus the wide ``accuracy_table.csv``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.json", "w") as f:
-        json.dump([r.to_dict() for r in records], f, indent=2, sort_keys=True)
-        f.write("\n")
-    by_key = {(r.dataset, r.kind, r.stage): r for r in records}
-    with open(out_dir / "accuracy_table.csv", "w") as f:
-        header = ["kind"]
-        for name in DATASET_NAMES:
-            header += [f"{name}_alone", f"{name}_mas"]
-        f.write(",".join(header) + "\n")
-        for kind in KINDS:
-            row = [kind.value]
-            for name in DATASET_NAMES:
-                for stage in (STAGE_ALONE, STAGE_MAS):
-                    rec = by_key.get((name, kind.value, stage))
-                    row.append("" if rec is None else f"{rec.mean_accuracy:.2f}")
-            f.write(",".join(row) + "\n")
+    write_json(out_dir / "results.json", [r.to_dict() for r in records])
+    cells = {(r.dataset, r.kind, r.stage): f"{r.mean_accuracy:.2f}" for r in records}
+    columns = [(name, stage) for name in DATASET_NAMES for stage in (STAGE_ALONE, STAGE_MAS)]
+    rows = [["kind", *(f"{name}_{stage.lower()}" for name, stage in columns)]]
+    rows += [[kind.value, *(cells.get((name, kind.value, stage), "") for name, stage in columns)] for kind in KINDS]
+    with opened(out_dir / "accuracy_table.csv") as f:
+        f.writelines(",".join(row) + "\n" for row in rows)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import json
 import time
 from pathlib import Path
 
@@ -11,9 +9,12 @@ import click
 
 from . import bench, datasets
 from .engine import Engine
-from .linear import ModelKind, OnlineLinearModel
+from .linear import Keys, ModelKind, OnlineLinearModel, checked_value, opened, read_json, write_json
 
 _KIND_CHOICE = click.Choice([k.value for k in bench.KINDS])
+
+#: A model file is ``{"type": <type>, <key>: <payload>}``: each type's payload key and the reader of its payload.
+_MODEL_FILES = {"linear": ("model", OnlineLinearModel.from_dict), "engine": ("snapshot", Engine.from_snapshot)}
 
 
 class _Group(click.Group):
@@ -66,10 +67,10 @@ def fit_linear(data, kind, cv, seed, epochs, out, model_out):
     ds = datasets.load_csv(data)
     record = bench.grid_search_linear(ds, ModelKind(kind), n_folds=cv, cv_seed=seed,
                                       fit_seed=seed, epochs=epochs)
-    _write_json(out, record.to_dict())
+    write_json(out, record.to_dict())
     if model_out:
         model = bench.train_linear(ModelKind(kind), record.best_params, ds.X, ds.Y, seed, epochs)
-        _write_json(model_out, {"type": "linear", "model": model.to_dict()})
+        write_json(model_out, {"type": "linear", "model": model.to_dict()})
     click.echo(f"{kind} alone: mean accuracy {record.mean_accuracy:.4f} ({out})")
 
 
@@ -90,21 +91,20 @@ def fit_linear(data, kind, cv, seed, epochs, out, model_out):
 def fit_mas(data, kind, linear_params, cv, seed, passes, jobs, out, engine_out, trace):
     """Step 2: engine-parameter grid search with a frozen linear model."""
     ds = datasets.load_csv(data)
-    with open(linear_params) as f:
-        alone = bench.ResultRecord.from_dict(json.load(f))
+    alone = bench.ResultRecord.from_dict(read_json(linear_params))
     if (alone.kind, alone.stage) != (kind, bench.STAGE_ALONE):
         raise ValueError(f"--linear-params holds a {alone.kind} {alone.stage} record, "
                          f"not the {kind} {bench.STAGE_ALONE} record of fit-linear")
     params = alone.best_params
     record = bench.grid_search_mas(ds, ModelKind(kind), params, n_folds=cv, cv_seed=seed,
                                    fit_seed=seed, passes=passes, jobs=jobs)
-    _write_json(out, record.to_dict())
+    write_json(out, record.to_dict())
     if engine_out or trace:
-        with open(trace, "w") if trace else contextlib.nullcontext() as f:
+        with opened(trace) as f:
             cell = record.best_params["engine"]
             engine = bench.train_engine(ModelKind(kind), params, cell, ds.X, ds.Y, seed, passes, trace=f)
         if engine_out:
-            _write_json(engine_out, {"type": "engine", "snapshot": engine.snapshot()})
+            write_json(engine_out, {"type": "engine", "snapshot": engine.snapshot()})
     click.echo(f"{kind} in MAS: mean accuracy {record.mean_accuracy:.4f} ({out})")
 
 
@@ -118,16 +118,11 @@ def fit_mas(data, kind, linear_params, cv, seed, passes, jobs, out, engine_out, 
 def boundary(model, data, step, out):
     """Export predictions on a lattice around the data as x1,x2,yhat CSV."""
     ds = datasets.load_csv(data)
-    with open(model) as f:
-        saved = json.load(f)
-    readers = {"linear": ("model", OnlineLinearModel.from_dict), "engine": ("snapshot", Engine.from_snapshot)}
-    kind = saved.get("type") if isinstance(saved, dict) else None
-    if kind not in readers:
-        raise click.BadParameter(f"{model}: unknown model file type {kind!r}")
-    key, read = readers[kind]
-    if key not in saved:
-        raise click.BadParameter(f"{model}: this {kind} model file holds no {key!r}")
-    predict = read(saved[key]).predict_batch
+    saved = checked_value(read_json(model), Keys({"type": str}, {key: None for key, _ in _MODEL_FILES.values()}), model)
+    if saved["type"] not in _MODEL_FILES:
+        raise ValueError(f"{model}: type must be one of {sorted(_MODEL_FILES)}, got {saved['type']!r}")
+    key, read = _MODEL_FILES[saved["type"]]
+    predict = read(checked_value(saved, Keys({"type": str, key: None}), model)[key]).predict_batch
     grid = bench.boundary_grid(predict, ds.X, step=step)
     grid.to_csv(out)
     click.echo(f"wrote {grid.labels.size} lattice predictions to {out}")
@@ -139,35 +134,14 @@ def boundary(model, data, step, out):
 @click.option("--jobs", default=None, type=int, help="Override config worker count.")
 def reproduce(config_path, out_dir, jobs):
     """Run the full three-dataset benchmark and write the accuracy table."""
-    overrides = {}
-    if config_path:
-        with open(config_path) as f:
-            overrides = bench.experiment_config(json.load(f))
+    config = bench.experiment_config(read_json(config_path)) if config_path else {}
     if jobs is not None:
-        overrides["jobs"] = jobs
-    config = bench.experiment_config(overrides)  # validate before any compute
+        config["jobs"] = jobs
     started = time.perf_counter()
-    records = bench.run_experiment(config, out_dir=out_dir)
+    records = bench.run_experiment(config, out_dir=out_dir)  # checks the config before any compute
     elapsed = time.perf_counter() - started
     click.echo(f"{len(records)} records in {elapsed:.1f}s -> {out_dir}/results.json")
-    by_key = {(r.dataset, r.kind, r.stage): r.mean_accuracy for r in records}
-    width = max(len(k.value) for k in bench.KINDS)
-    header = " " * width + "  " + "  ".join(f"{n:>14}" for n in bench.DATASET_NAMES)
-    click.echo(header + "   (alone / mas)")
-    for kind in bench.KINDS:
-        cells = []
-        for name in bench.DATASET_NAMES:
-            a = by_key[(name, kind.value, "ALONE")]
-            m = by_key[(name, kind.value, "MAS")]
-            cells.append(f"{a:.2f} / {m:.2f}")
-        click.echo(f"{kind.value:<{width}}  " + "  ".join(f"{c:>14}" for c in cells))
-
-
-def _write_json(path, payload) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    click.echo(Path(out_dir, "accuracy_table.csv").read_text(), nl=False)
 
 
 if __name__ == "__main__":

@@ -9,14 +9,13 @@ evenly as possible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linear import Keys, checked_value
+from .linear import Keys, checked_value, opened, read_json, write_json
 
 
 @dataclass
@@ -139,14 +138,12 @@ def save_csv(ds: Dataset, path) -> None:
     path = Path(path)
     if ds.X.shape[1] != 2:
         raise ValueError("CSV schema is fixed to two features")
-    with open(path, "w") as f:
+    with opened(path) as f:
         f.write("x1,x2,y\n")
         for (x1, x2), y in zip(ds.X, ds.Y):
             f.write(f"{x1:.17g},{x2:.17g},{int(y)}\n")
     if ds.meta:
-        with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-            json.dump(ds.meta, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path.with_suffix(path.suffix + ".json"), ds.meta)
 
 
 def load_csv(path) -> Dataset:
@@ -173,5 +170,5 @@ def load_csv(path) -> Dataset:
     meta = {}
     if manifest.exists():  # the generator parameters that save_csv writes
         params = {"generator": str, "n": int, "noise": float, "factor": float, "seed": int, "standardized": bool}
-        meta = checked_value(json.loads(manifest.read_text()), Keys({}, params), str(manifest))
+        meta = checked_value(read_json(manifest), Keys({}, params), str(manifest))
     return Dataset(np.asarray(xs, dtype=float), np.asarray(ys, dtype=int), meta=meta)

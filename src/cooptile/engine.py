@@ -44,6 +44,14 @@ Every entry point rejects a non-finite value or a wrong dimension before
 any state changes. Cycles, arbitration order, and tie-breaks are all
 deterministic, so a given (config, data, seed) always reproduces the same
 agent population.
+
+Invariants after every call: each row has ``lower < upper``; ids ascend
+with the rows and stay below ``next_agent_id``; ``score`` is the sigmoid
+of ``confidence``; there are no more agents than exploration cycles; two
+activated agents that proposed different classes end their cycle without
+overlap; exploitation mutates nothing (``to_json()`` is unchanged);
+``predict(x)``, ``predict_batch([x])[0]`` and ``exploit_step(x).prediction``
+agree; a snapshot reads back to the same bytes.
 """
 
 from __future__ import annotations
@@ -196,7 +204,8 @@ class Engine:
         if events is not None:
             events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
         rows = overlapping(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
-        proposals = {i: pop.propose(i, x) for i in (c, *rows)}
+        margins = self._margins(x)
+        proposals = {i: int(margins[i] >= 0.0) for i in (c, *rows)}
         self._resolve_pairs([(c, j) for j in rows], proposals, events, dead)
         return proposals[c]
 

@@ -25,10 +25,13 @@ mix (elastic net); the bias is never shrunk.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from numbers import Integral, Real
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -161,6 +164,30 @@ def read_config(cls, d, path: str, dropped: tuple = (), **fixed):
         return cls(**kwargs, **fixed)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def read_json(path):
+    """The JSON value of the file ``path``; a file that is not JSON raises ``ValueError`` naming it."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+def opened(path):
+    """The file ``path`` opened for writing, its directory created first; for no path, a context yielding None."""
+    if path is None:
+        return contextlib.nullcontext()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to the file ``path`` as every saved JSON file is: indent 2, sorted keys, final newline."""
+    with opened(path) as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 #: ``checked_value`` schema of a saved model's state. It drops the keys of the model's config, which

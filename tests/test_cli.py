@@ -127,13 +127,31 @@ class TestFitCommands:
         assert not mas_out.exists()
 
     def test_boundary_rejects_a_model_file_without_its_payload(self, runner, tmp_path):
+        # once exited 2 with a usage text
         data = gen(runner, tmp_path)
         model = tmp_path / "engine.json"
         model.write_text(json.dumps({"type": "engine"}))
         out = tmp_path / "boundary.csv"
         result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
-        assert "holds no 'snapshot'" in result.output and "Error:" in result.output
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {model} lacks the key 'snapshot'" in result.output and "Usage:" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("saved,message", [
+        ({"type": "svm", "model": {}}, ": type must be one of ['engine', 'linear'], got 'svm'"),
+        ({"type": "engine", "model": {}}, " lacks the key 'snapshot'"),
+        ({"model": {}}, " lacks the key 'type'"),
+        ({"type": "linear", "model": {}, "weights": []}, " holds the unknown key 'weights'"),
+    ], ids=["unknown_type", "payload_of_another_type", "no_type", "unknown_key"])
+    def test_boundary_rejects_a_model_file_of_no_known_type(self, runner, tmp_path, saved, message):
+        # an unknown type once exited 2 with a usage text
+        data = gen(runner, tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(saved))
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {model}{message}" in result.output and "Usage:" not in result.output
         assert not out.exists()
 
     def test_boundary_names_the_key_a_snapshot_lacks(self, runner, tmp_path):
@@ -251,6 +269,55 @@ class TestFitCommands:
         assert not out.exists()
 
 
+class TestSavedFiles:
+    """Every command reads its JSON files by ``linear.read_json`` and writes every output by ``linear.opened``."""
+
+    @pytest.mark.parametrize("reader", ["model", "linear_params", "config", "manifest"])
+    def test_a_file_that_is_not_json_is_named(self, runner, tmp_path, reader):
+        # each once ended in "Error: Expecting value: line 1 column 1 (char 0)", naming no file
+        data = gen(runner, tmp_path)
+        broken = tmp_path / ("linear.csv.json" if reader == "manifest" else "broken.json")
+        broken.write_text("not json\n")
+        out = tmp_path / "out"
+        args = {
+            "model": ["boundary", "--model", str(broken), "--data", str(data), "--out", str(out)],
+            "linear_params": ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(broken),
+                              "--out", str(out)],
+            "config": ["reproduce", "--config", str(broken), "--out", str(out)],
+            "manifest": ["fit-linear", "--data", str(data), "--kind", "pa1", "--out", str(out)],
+        }[reader]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {broken}: Expecting value: line 1 column 1 (char 0)" in result.output
+        assert not out.exists()
+
+    def test_every_output_option_creates_missing_directories(self, runner, tmp_path, monkeypatch):
+        # gen-data --out, fit-mas --trace and boundary --out each once ended in a FileNotFoundError
+        monkeypatch.setattr(bench, "default_linear_grid", lambda kind: [bench_default_cell(kind)])
+        monkeypatch.setattr(bench, "default_engine_grid", lambda: [
+            {"init_radius": 0.2, "overlap_threshold": 0.5, "exclude_points": True,
+             "resize_factor": 0.1, "reward_weight": 1.0, "penalty_weight": 1.0},
+        ])
+        new = {name: tmp_path / name / "deeper" / f"{name}.out" for name in (
+            "data", "alone", "model", "mas", "engine", "trace", "boundary", "boundary_linear")}
+        commands = [
+            ["gen-data", "--dataset", "circles", "--n", "40", "--standardize", "--out", new["data"]],
+            ["fit-linear", "--data", new["data"], "--kind", "pa1", "--epochs", "2", "--out", new["alone"],
+             "--model-out", new["model"]],
+            ["fit-mas", "--data", new["data"], "--kind", "pa1", "--linear-params", new["alone"], "--passes", "1",
+             "--out", new["mas"], "--engine-out", new["engine"], "--trace", new["trace"]],
+            ["boundary", "--model", new["engine"], "--data", new["data"], "--step", "0.5", "--out", new["boundary"]],
+            ["boundary", "--model", new["model"], "--data", new["data"], "--step", "0.5",
+             "--out", new["boundary_linear"]],
+        ]
+        for command in commands:
+            result = runner.invoke(main, [str(arg) for arg in command])
+            assert result.exit_code == 0, result.output
+        assert all(path.stat().st_size > 0 for path in new.values())
+        assert (tmp_path / "data" / "deeper" / "data.out.json").exists()  # the manifest beside the CSV
+        assert len(new["trace"].read_text().splitlines()) == 40
+
+
 class TestReproduce:
     def test_invalid_config_fails_before_compute(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -285,13 +352,14 @@ class TestReproduce:
         ])
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 40, "epochs": 3, "exploration_passes": 1}))
-        result = runner.invoke(main, [
-            "reproduce", "--config", str(config), "--out", str(tmp_path / "out"),
-        ])
+        out = tmp_path / "new" / "out"  # created with its parent
+        result = runner.invoke(main, ["reproduce", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        records = json.loads((tmp_path / "out" / "results.json").read_text())
+        records = json.loads((out / "results.json").read_text())
         assert len(records) == 24
-        assert (tmp_path / "out" / "accuracy_table.csv").exists()
+        table = (out / "accuracy_table.csv").read_text()
+        assert table.startswith("kind,moons_alone,moons_mas,") and len(table.splitlines()) == 5
+        assert result.output.endswith(table)  # the command prints the table it writes
 
 
 def bench_default_cell(kind):

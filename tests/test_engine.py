@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import cooptile.engine as engine_module
 from cooptile.agents import EngineConfig
@@ -776,6 +777,75 @@ class TestPopulationInvariants:
         assert reachable_objects(small) == reachable_objects(large)
 
 
+#: Four coordinates in [-1, 1], of which an engine reads its first ``dim``: on the half-unit lattice, which
+#: repeats points and makes boxes share faces, or anywhere.
+LATTICE_POINTS = st.lists(st.integers(-2, 2).map(lambda k: k / 2), min_size=4, max_size=4)
+FREE_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """The invariants of the ``engine`` module docstring over random interleavings of exploration,
+    exploitation and snapshot round trips."""
+
+    @initialize(dim=st.integers(1, 4), kind=st.sampled_from(ModelKind), exclude=st.booleans(),
+                train_on_correct=st.booleans(), overlap=st.sampled_from([None, 0.2, 0.5]))
+    def build(self, dim, kind, exclude, train_on_correct, overlap):
+        cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=overlap, exclude_points=exclude,
+                           train_on_correct=train_on_correct)
+        self.engine = Engine(cfg, LinearModelConfig(kind=kind), dim=dim)
+
+    @rule(x=LATTICE_POINTS, y=st.integers(0, 1))
+    def explore_lattice(self, x, y):
+        self.explore(x, y)
+
+    @rule(x=FREE_POINTS, y=st.integers(0, 1))
+    def explore_free(self, x, y):
+        self.explore(x, y)
+
+    def explore(self, x, y):
+        engine = self.engine
+        x = np.array(x[:engine.dim])
+        proposals = dict(zip(engine.agents.id.tolist(), (engine._margins(x) >= 0.0).tolist()))
+        report = engine.explore_step(x, y)
+        rows = {i: row for row, i in enumerate(engine.agents.id.tolist())}
+        for a, b in combinations(report.activated_ids, 2):
+            if proposals[a] != proposals[b] and a in rows and b in rows:
+                assert intersection_volume(row_box(engine, rows[a]), row_box(engine, rows[b])) == 0.0
+
+    @rule(x=st.one_of(LATTICE_POINTS, FREE_POINTS))
+    def exploit(self, x):
+        engine = self.engine
+        x = np.array(x[:engine.dim])
+        if not len(engine.agents):
+            with pytest.raises(RuntimeError):
+                engine.predict(x)
+            return
+        before = engine.to_json()
+        label = engine.predict(x)
+        assert engine.predict_batch(x[None, :]).tolist() == [label]
+        assert engine.exploit_step(x).prediction == label
+        assert engine.to_json() == before
+
+    @rule()
+    def round_trip(self):
+        saved = self.engine.to_json()
+        self.engine = Engine.from_snapshot(json.loads(saved))
+        assert self.engine.to_json() == saved
+
+    @invariant()
+    def rows_are_consistent(self):
+        engine = self.engine
+        pop = engine.agents
+        assert np.all(pop.lower < pop.upper)
+        assert np.all(np.diff(pop.id) > 0) and np.all(pop.id < engine._next_id)
+        assert pop.score.tolist() == [_sigmoid(c) for c in pop.confidence.tolist()]
+        assert len(pop) <= engine.cycle
+
+
+EngineMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=50, deadline=None)
+TestEngineMachine = EngineMachine.TestCase
+
+
 class TestDeterminismAndPersistence:
     def test_identical_runs_are_byte_identical(self):
         X, Y = TestExploreInvariants.train_data(n=70, seed=9)
@@ -870,6 +940,17 @@ class TestDeterminismAndPersistence:
         parent[path[-1]] = value
         message = f"{snapshot_path(path)} must be a non-negative integer, got {value}"
         with pytest.raises(ValueError, match=re.escape(message)):
+            Engine.from_snapshot(snap)
+
+    @pytest.mark.parametrize("path", [("region", "lower"), ("region", "upper"), ("model", "weights")])
+    def test_agent_vectors_must_hold_dim_numbers(self, path):
+        # a 3-d vector in a 2-d snapshot once got numpy's "inhomogeneous shape" message, which names no path;
+        # the path indexes the file's list, not the id order
+        snap = engine_with(agent_dict(0, [0, 0], [1, 1]), agent_dict(1, [2, 0], [3, 1])).snapshot()
+        snap["agents"].reverse()
+        snap["agents"][1][path[0]][path[1]].append(5.0)
+        with pytest.raises(ValueError, match=re.escape(f"{snapshot_path(('agents', 1, *path))} must hold 2 numbers, "
+                                                       "got 3")):
             Engine.from_snapshot(snap)
 
     def test_snapshot_of_older_format_loads(self):
