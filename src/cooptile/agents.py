@@ -5,8 +5,10 @@ agent of an engine in ascending id order: a box region ``[lower, upper]``,
 an online linear model (``weights``, ``bias``, ``step_count``) trained on
 the observations that activated it, and a ``confidence``, the running sum
 of weighted feedback (``+reward_weight`` when right, ``-penalty_weight``
-when wrong). Its ``score``, the sigmoid of the confidence, drives winner
-selection and all geometric arbitration between agents.
+when wrong). These are exactly the agent fields a snapshot saves. The
+agent's score, the sigmoid of its confidence, drives winner selection and
+all geometric arbitration between agents; the engine derives it where it
+reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import checked, exclude, rescale
-from .linear import (MODEL_STATE, Keys, LinearModelConfig, _sigmoid, checked_value, linear_update, read_config, sample,
+from .linear import (MODEL_STATE, Keys, LinearModelConfig, checked_value, linear_update, read_config, sample,
                      store_floats)
 
 
@@ -89,7 +91,6 @@ class Population:
     FIELDS = {
         "id": (np.int64, False), "lower": (float, True), "upper": (float, True), "weights": (float, True),
         "bias": (float, False), "step_count": (np.int64, False), "confidence": (float, False),
-        "score": (float, False),  # sigmoid(confidence), set whenever confidence changes
     }
     #: Rows of a new population's buffers.
     INITIAL_CAPACITY = 16
@@ -119,7 +120,7 @@ class Population:
                 grown = np.zeros((n + n // 4 + 1, *buffer.shape[1:]), dtype=buffer.dtype)
                 grown[:n] = buffer
                 self._buffers[name] = grown
-        row = (agent_id, lower, upper, 0.0, 0.0, 0, 0.0, _sigmoid(0.0))
+        row = (agent_id, lower, upper, 0.0, 0.0, 0, 0.0)
         for buffer, value in zip(self._buffers.values(), row):
             buffer[n] = value
         self._live(n + 1)
@@ -151,7 +152,6 @@ class Population:
         model trains on the observation, and the region shrinks.
         """
         self.confidence[i] += cfg.reward_weight if correct else -cfg.penalty_weight
-        self.score[i] = _sigmoid(float(self.confidence[i]))
         if correct:
             self.lower[i], self.upper[i] = rescale(self.lower[i], self.upper[i], cfg.resize_factor)
             if cfg.train_on_correct:
@@ -167,7 +167,7 @@ class Population:
         return [
             {"id": i, "region": {"lower": lo, "upper": up}, "confidence": c,
              "model": {"weights": w, "bias": b, "step_count": t}}
-            for i, lo, up, w, b, t, c, _ in zip(*(getattr(self, name).tolist() for name in self.FIELDS))
+            for i, lo, up, w, b, t, c in zip(*(getattr(self, name).tolist() for name in self.FIELDS))
         ]
 
     @classmethod
@@ -183,7 +183,7 @@ class Population:
         pop = cls(dim)
         rows = [
             (d["id"], d["region"]["lower"], d["region"]["upper"], d["model"]["weights"], d["model"]["bias"],
-             d["model"].get("step_count", 0), d["confidence"], _sigmoid(float(d["confidence"])))
+             d["model"].get("step_count", 0), d["confidence"])
             for d in sorted(agents, key=lambda d: d["id"])
         ]
         for (name, (dtype, _)), column in zip(cls.FIELDS.items(), zip(*rows)):

@@ -45,13 +45,15 @@ any state changes. Cycles, arbitration order, and tie-breaks are all
 deterministic, so a given (config, data, seed) always reproduces the same
 agent population.
 
+The engine holds exactly what its snapshot holds: an agent's score, the
+sigmoid of its confidence, is derived by each code path that reads it.
 Invariants after every call: each row has ``lower < upper``; ids ascend
-with the rows and stay below ``next_agent_id``; ``score`` is the sigmoid
-of ``confidence``; there are no more agents than exploration cycles; two
-activated agents that proposed different classes end their cycle without
-overlap; exploitation mutates nothing (``to_json()`` is unchanged);
-``predict(x)``, ``predict_batch([x])[0]`` and ``exploit_step(x).prediction``
-agree; a snapshot reads back to the same bytes.
+with the rows and stay below ``next_agent_id``; there are no more agents
+than exploration cycles; two activated agents that proposed different
+classes end their cycle without overlap; exploitation mutates nothing
+(``to_json()`` is unchanged); ``predict(x)``, ``predict_batch([x])[0]``
+and ``exploit_step(x).prediction`` agree; a snapshot reads back to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from typing import IO
 import numpy as np
 
 from .agents import EngineConfig, Population
-from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, overlapping, push
-from .linear import Keys, LinearModelConfig, checked_points, checked_samples, checked_value
+from .geometry import Bounds, around, enclose, overlap_index, overlap_volume, overlap_widths, push
+from .linear import Keys, LinearModelConfig, _sigmoid, checked_points, checked_samples, checked_value
 
 #: Maximal score difference still treated as a tie in winner selection.
 SCORE_TIE_TOL = 1e-12
@@ -184,7 +186,7 @@ class Engine:
         the class, the answering row and each activated row's proposal. The votes come from ``_decide``'s
         whole-population product; the rest of the rule reads only the activated rows, as Python floats."""
         votes = [int(m >= 0.0) for m in self._margins(x)[active].tolist()]
-        scores = self.agents.score[active].tolist()
+        scores = [_sigmoid(c) for c in self.agents.confidence[active].tolist()]
         top = max(scores) - SCORE_TIE_TOL
         tied = [v for s, v in zip(scores, votes) if s >= top]
         label = int(2 * sum(tied) > len(tied))  # even vote: class 0
@@ -203,7 +205,8 @@ class Engine:
         pop.fit(c, x, y, self.model_cfg)
         if events is not None:
             events.append(NcsEvent(NcsKind.INCOMPETENCE, (int(pop.id[c]),), Resolution.CREATE))
-        rows = overlapping(pop.lower[c], pop.upper[c], pop.lower[:c], pop.upper[:c])
+        # _resolve_pairs skips a candidate whose overlap volume is 0.0
+        rows = ((pop.lower[:c] < pop.upper[c]) & (pop.upper[:c] > pop.lower[c])).all(axis=1).nonzero()[0].tolist()
         margins = self._margins(x)
         proposals = {i: int(margins[i] >= 0.0) for i in (c, *rows)}
         self._resolve_pairs([(c, j) for j in rows], proposals, events, dead)
@@ -216,7 +219,7 @@ class Engine:
         if not pairs:
             return
         threshold, pop = self.cfg.overlap_threshold, self.agents
-        score = {i: float(pop.score[i]) for pair in pairs for i in pair}
+        score = {i: _sigmoid(float(pop.confidence[i])) for i in {i for pair in pairs for i in pair}}
         # ids ascend with rows, so row order breaks score ties as id order does
         for a, b in sorted(pairs, key=lambda p: (-max(score[p[0]], score[p[1]]), min(p), max(p))):
             if a in dead or b in dead:
@@ -313,7 +316,8 @@ class Engine:
         pop = self.agents
         votes = X @ pop.weights.T + pop.bias >= 0.0
         # on a covered row an agent that is not activated scores -inf, so never ties
-        masked = np.where(inside, pop.score, -np.inf)
+        score = np.array([_sigmoid(c) for c in pop.confidence.tolist()])
+        masked = np.where(inside, score, -np.inf)
         tied = masked >= masked.max(axis=1, keepdims=True) - SCORE_TIE_TOL
         labels = 2 * votes.sum(axis=1, where=tied) > tied.sum(axis=1)  # even vote: class 0
         winners = (tied & (votes == labels[:, None])).argmax(axis=1)

@@ -15,7 +15,6 @@ the overlap measures, ``push`` and ``exclude`` loop over Python floats.
 These round each operation as numpy's elementwise ufuncs do and keep their
 order (numpy multiplies a short vector's elements in sequence), so the
 results are bit-identical to the vectorized formulas at every dimension.
-``overlapping`` compares one box with every row of the population at once.
 """
 
 from __future__ import annotations
@@ -82,15 +81,6 @@ def overlap_widths(lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray
 def overlap_volume(widths: list[float]) -> float:
     """Intersection volume of ``overlap_widths``; 0.0 for disjoint or touching boxes, or on underflow."""
     return 0.0 if min(widths) <= 0.0 else float(math.prod(widths))
-
-
-def overlapping(lower: np.ndarray, upper: np.ndarray, rows_lower: np.ndarray, rows_upper: np.ndarray) -> list[int]:
-    """Indices of the rows of boxes ``[rows_lower, rows_upper]`` whose overlap with the box has a
-    positive ``overlap_volume``."""
-    # for finite bounds, exactly the test that every width min(upper) - max(lower) is positive
-    rows = ((rows_lower < upper) & (rows_upper > lower)).all(axis=1).nonzero()[0].tolist()
-    # a product of positive widths can still underflow
-    return [j for j in rows if overlap_volume(overlap_widths(lower, upper, rows_lower[j], rows_upper[j])) > 0.0]
 
 
 def overlap_index(iv: float, lower: np.ndarray, upper: np.ndarray, other_lower: np.ndarray,

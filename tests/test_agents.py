@@ -40,7 +40,7 @@ def give_feedback(engine: Engine, correct: bool, x) -> None:
 
 class TestScore:
     def test_fresh_agent_scores_half(self):
-        assert engine_with_agents(0.0).agents.score[0] == 0.5
+        assert _sigmoid(engine_with_agents(0.0).agents.confidence[0]) == 0.5
 
     def test_three_correct_two_wrong(self):
         engine = engine_with_agents(0.0, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
@@ -48,12 +48,13 @@ class TestScore:
         for correct in (True, True, True, False, False):
             give_feedback(engine, correct, x)
         assert engine.agents.confidence[0] == 2.0
-        assert engine.agents.score[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=TOL)
-        assert engine.agents.score[0] == pytest.approx(0.8807970779778823, abs=TOL)
+        score = _sigmoid(engine.agents.confidence[0])
+        assert score == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=TOL)
+        assert score == pytest.approx(0.8807970779778823, abs=TOL)
 
     def test_strictly_increasing_and_bounded(self):
         # |confidence| <= 36 keeps the sigmoid away from float saturation
-        scores = engine_with_agents(-36.0, -5.0, 0.0, 3.0, 36.0).agents.score
+        scores = np.array([_sigmoid(c) for c in engine_with_agents(-36.0, -5.0, 0.0, 3.0, 36.0).agents.confidence])
         assert np.all((0.0 < scores) & (scores < 1.0))
         assert np.all(np.diff(scores) > 0.0)
 
@@ -104,7 +105,7 @@ class TestFeedback:
         n_good = int(verdicts.sum())
         n_bad = len(verdicts) - n_good
         assert engine.agents.confidence[0] == 1.0 * n_good - 0.5 * n_bad
-        assert engine.agents.score[0] == _sigmoid(1.0 * n_good - 0.5 * n_bad)
+        assert _sigmoid(engine.agents.confidence[0]) == _sigmoid(1.0 * n_good - 0.5 * n_bad)
 
 
 class TestEngineConfig:

@@ -21,7 +21,7 @@ from cooptile.agents import EngineConfig
 from cooptile.datasets import gen_circles, standardize
 from cooptile.engine import DECIDE_BLOCK_ROWS, Engine, NcsKind, Resolution
 from cooptile.geometry import Bounds, Hypercube, contains, overlap_volume, overlap_widths, volume
-from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
+from cooptile.linear import LinearModelConfig, ModelKind
 
 PA1 = LinearModelConfig(kind=ModelKind.PA_I)
 
@@ -745,7 +745,6 @@ class TestPopulationInvariants:
             assert pop.lower.shape == pop.upper.shape == pop.weights.shape == (m, dim)
             assert np.all(np.diff(pop.id) > 0)
             assert np.all(pop.lower < pop.upper)
-            assert pop.score.tolist() == [_sigmoid(c) for c in pop.confidence.tolist()]
             assert Engine.from_snapshot(engine.snapshot()).to_json() == engine.to_json()
 
     def test_growth_and_compaction_keep_every_row(self):
@@ -838,7 +837,6 @@ class EngineMachine(RuleBasedStateMachine):
         pop = engine.agents
         assert np.all(pop.lower < pop.upper)
         assert np.all(np.diff(pop.id) > 0) and np.all(pop.id < engine._next_id)
-        assert pop.score.tolist() == [_sigmoid(c) for c in pop.confidence.tolist()]
         assert len(pop) <= engine.cycle
 
 
