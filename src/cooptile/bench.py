@@ -16,6 +16,7 @@ order-independent, so results are identical for any worker count.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,22 +110,6 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def cross_validate(X, Y, folds, fit_predict) -> list[float]:
-    """Per-fold accuracies of ``fit_predict(Xtr, Ytr, Xval, fold_idx)``.
-
-    Training indices are everything outside the validation fold.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y)
-    all_idx = np.arange(Y.shape[0])
-    scores = []
-    for i, val in enumerate(folds):
-        train = np.setdiff1d(all_idx, val)
-        preds = fit_predict(X[train], Y[train], X[val], i)
-        scores.append(accuracy(preds, Y[val]))
-    return scores
-
-
 def _derive_seed(*parts: int) -> int:
     """Stable 32-bit seed from a tuple of integers."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -162,13 +147,15 @@ class ResultRecord:
         return record
 
 
-def _cell_scores(X, Y, folds, train, fit_seed: int, ci: int, cell: dict) -> list[float]:
-    """Worker: CV accuracies of grid cell ``ci`` (parallel-safe)."""
-
-    def fit_predict(Xtr, Ytr, Xval, fold):
-        return train(cell, Xtr, Ytr, _derive_seed(fit_seed, ci, fold)).predict_batch(Xval)
-
-    return cross_validate(X, Y, folds, fit_predict)
+def _cell_scores(X: np.ndarray, Y: np.ndarray, folds, train, fit_seed: int, ci: int, cell: dict) -> list[float]:
+    """Worker (parallel-safe): the per-fold CV accuracies of grid cell ``ci``, each of the model that
+    ``train(cell, X, Y, seed)`` fits on every other fold, seeded by the cell and the fold."""
+    scores = []
+    for fold, val in enumerate(folds):
+        rest = np.setdiff1d(np.arange(Y.shape[0]), val)
+        model = train(cell, X[rest], Y[rest], _derive_seed(fit_seed, ci, fold))
+        scores.append(accuracy(model.predict_batch(X[val]), Y[val]))
+    return scores
 
 
 def _grid_search(ds: Dataset, kind: ModelKind, stage: str, train, grid: list[dict], best_params,
@@ -272,8 +259,8 @@ class BoundaryGrid:
 
 def boundary_grid(predict_fn, X, step: float = 0.02, margin: float = 0.5) -> BoundaryGrid:
     """Evaluate a batch predictor on a lattice spanning the data + margin."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     X = np.asarray(X, dtype=float)
     xs = np.arange(X[:, 0].min() - margin, X[:, 0].max() + margin + step / 2, step)
     ys = np.arange(X[:, 1].min() - margin, X[:, 1].max() + margin + step / 2, step)

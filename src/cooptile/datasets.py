@@ -147,25 +147,32 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a ``x1,x2,y`` file written by :func:`save_csv`, and its manifest, if any, by ``checked_value``."""
+    """Read a ``x1,x2,y`` file written by :func:`save_csv`, and its manifest, if any, by ``checked_value``; a
+    file that is not UTF-8 text of finite coordinates raises ``ValueError`` naming it."""
     path = Path(path)
+    xs, ys = [], []
     with open(path) as f:
-        header = f.readline().strip()
-        if header != "x1,x2,y":
-            raise ValueError(f"{path}: line 1: expected header 'x1,x2,y', got {header!r}")
-        xs, ys = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                xs.append((float(parts[0]), float(parts[1])))
-                ys.append(int(parts[2]))
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
+        try:
+            header = f.readline().strip()
+            if header != "x1,x2,y":
+                raise ValueError(f"{path}: line 1: expected header 'x1,x2,y', got {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
+                try:
+                    x = (float(parts[0]), float(parts[1]))
+                    if not (math.isfinite(x[0]) and math.isfinite(x[1])):
+                        raise ValueError(f"coordinates must be finite, got {parts[0]!r} and {parts[1]!r}")
+                    xs.append(x)
+                    ys.append(int(parts[2]))
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {lineno}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
     manifest = path.with_suffix(path.suffix + ".json")
     meta = {}
     if manifest.exists():  # the generator parameters that save_csv writes

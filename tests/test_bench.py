@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from cooptile.bench import (
     BoundaryGrid,
     ResultRecord,
     accuracy,
+    _cell_scores,
+    _derive_seed,
     boundary_grid,
-    cross_validate,
     default_engine_grid,
     default_linear_grid,
     encloses_origin,
@@ -91,17 +93,24 @@ class TestAccuracy:
 
 
 class TestCrossValidate:
+    """``_cell_scores``, the cross-validation loop of one grid cell, with a fake ``train``."""
+
     def test_validation_rows_never_seen_in_training(self):
         ds = standardize(gen_linear(60, seed=4))
         folds = kfold_split(ds.Y, 5, seed=0)
-        seen = []
+        seen, seeds = [], []
 
-        def spy(Xtr, Ytr, Xval, fold):
-            seen.append((Xtr.copy(), Xval.copy()))
-            return np.zeros(len(Xval), dtype=int)
+        def spy(cell, Xtr, Ytr, seed):
+            seeds.append(seed)
 
-        cross_validate(ds.X, ds.Y, folds, spy)
-        assert len(seen) == 5
+            def predict_batch(Xval):
+                seen.append((Xtr.copy(), Xval.copy()))
+                return np.zeros(len(Xval), dtype=int)
+
+            return SimpleNamespace(predict_batch=predict_batch)
+
+        _cell_scores(ds.X, ds.Y, folds, spy, 3, 2, {})
+        assert len(seen) == 5 and seeds == [_derive_seed(3, 2, fold) for fold in range(5)]
         for Xtr, Xval in seen:
             train_rows = {tuple(r) for r in Xtr}
             assert all(tuple(r) not in train_rows for r in Xval)
@@ -111,10 +120,10 @@ class TestCrossValidate:
         folds = kfold_split(ds.Y, 5, seed=0)
         lookup = {tuple(x): y for x, y in zip(ds.X, ds.Y)}
 
-        def oracle(Xtr, Ytr, Xval, fold):
-            return np.array([lookup[tuple(x)] for x in Xval])
+        def oracle(cell, Xtr, Ytr, seed):
+            return SimpleNamespace(predict_batch=lambda Xval: np.array([lookup[tuple(x)] for x in Xval]))
 
-        assert cross_validate(ds.X, ds.Y, folds, oracle) == [1.0] * 5
+        assert _cell_scores(ds.X, ds.Y, folds, oracle, 0, 0, {}) == [1.0] * 5
 
 
 class TestGrids:
@@ -220,9 +229,11 @@ class TestBoundaryGrid:
         assert grid.xs[0] <= -0.5 and grid.xs[-1] >= 1.5
         assert grid.ys[0] <= -0.5 and grid.ys[-1] >= 2.5
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            boundary_grid(lambda P: np.zeros(len(P)), np.zeros((2, 2)), step=0.0)
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_step(self, step):
+        # nan and inf once reached np.arange, which failed with "arange: cannot compute length"
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            boundary_grid(lambda P: np.zeros(len(P)), np.zeros((2, 2)), step=step)
 
     def test_encloses_origin_true_for_disk(self):
         xs = np.arange(-2, 2.01, 0.1)

@@ -291,6 +291,35 @@ class TestSavedFiles:
         assert f"Error: {broken}: Expecting value: line 1 column 1 (char 0)" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,message", [
+        (b"x1,x2,y\n0.5,\xff,1\n", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"x1,x2,y\n0.5,nan,1\n", ": line 2: coordinates must be finite"),
+    ], ids=["not_utf8", "nan"])
+    def test_a_dataset_it_cannot_read_is_named(self, runner, tmp_path, content, message):
+        # these once ended in errors naming neither the file nor the line
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"Error: {data}{message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_boundary_rejects_a_step_that_is_not_finite(self, runner, tmp_path, step):
+        # once "Error: arange: cannot compute length"
+        data = gen(runner, tmp_path)
+        model = tmp_path / "model.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
+                                      "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
+                                      "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: step must be positive and finite" in result.output
+        assert not out.exists()
+
     def test_every_output_option_creates_missing_directories(self, runner, tmp_path, monkeypatch):
         # gen-data --out, fit-mas --trace and boundary --out each once ended in a FileNotFoundError
         monkeypatch.setattr(bench, "default_linear_grid", lambda kind: [bench_default_cell(kind)])

@@ -1,6 +1,7 @@
 """Generator geometry, standardization, and CSV round-trip tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,y\n0.5,oops,1\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate(self, tmp_path, value):
+        # once loaded, for a later "input holds a non-finite value" naming neither the file nor the line
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,y\n0.5,{value},1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: coordinates must be finite"):
+            load_csv(path)
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        # once a bare UnicodeDecodeError naming no file
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,x2,y\n0.5,\xff,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load_csv(path)
 
 
