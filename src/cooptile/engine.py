@@ -215,34 +215,40 @@ class Engine:
     def _resolve_pairs(self, pairs: list[tuple[int, int]], proposals: dict[int, int],
                        events: list[NcsEvent] | None, dead: set[int]) -> None:
         """Arbitrate the overlapping pairs of rows, highest-scoring pair first; ``events`` (unless None)
-        receives each resolution."""
+        receives each resolution. A push only shrinks the loser, but an absorption's enclosure can grow back
+        over a pair resolved before it, so a pass that absorbed runs again: at most once per absorbed row."""
         if not pairs:
             return
         threshold, pop = self.cfg.overlap_threshold, self.agents
         score = {i: _sigmoid(float(pop.confidence[i])) for i in {i for pair in pairs for i in pair}}
         # ids ascend with rows, so row order breaks score ties as id order does
-        for a, b in sorted(pairs, key=lambda p: (-max(score[p[0]], score[p[1]]), min(p), max(p))):
-            if a in dead or b in dead:
-                continue
-            if score[b] > score[a] or (score[a] == score[b] and b < a):
-                a, b = b, a  # a wins
-            win, lose = (pop.lower[a], pop.upper[a]), (pop.lower[b], pop.upper[b])
-            iv = overlap_volume(overlap_widths(*win, *lose))
-            if iv == 0.0:
-                continue
-            same = proposals[a] == proposals[b]
-            pushed = None
-            if not (same and threshold is not None and overlap_index(iv, *win, *lose) > threshold):
-                pushed = push(*win, *lose)
-            if pushed is None:  # heavy same-class overlap, or no single cut separates them
-                pop.lower[a], pop.upper[a] = enclose(*win, *lose)
-                dead.add(b)
-            else:
-                pop.lower[b], pop.upper[b] = pushed
-            if events is not None:
-                kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
-                resolution = Resolution.ABSORB if pushed is None else Resolution.PUSH
-                events.append(NcsEvent(kind, (int(pop.id[a]), int(pop.id[b])), resolution))
+        pairs = sorted(pairs, key=lambda p: (-max(score[p[0]], score[p[1]]), min(p), max(p)))
+        absorbed = True
+        while absorbed:
+            absorbed = False
+            for a, b in pairs:
+                if a in dead or b in dead:
+                    continue
+                if score[b] > score[a] or (score[a] == score[b] and b < a):
+                    a, b = b, a  # a wins
+                win, lose = (pop.lower[a], pop.upper[a]), (pop.lower[b], pop.upper[b])
+                iv = overlap_volume(overlap_widths(*win, *lose))
+                if iv == 0.0:
+                    continue
+                same = proposals[a] == proposals[b]
+                pushed = None
+                if not (same and threshold is not None and overlap_index(iv, *win, *lose) > threshold):
+                    pushed = push(*win, *lose)
+                if pushed is None:  # heavy same-class overlap, or no single cut separates them
+                    pop.lower[a], pop.upper[a] = enclose(*win, *lose)
+                    dead.add(b)
+                    absorbed = True
+                else:
+                    pop.lower[b], pop.upper[b] = pushed
+                if events is not None:
+                    kind = NcsKind.COMPETITION if same else NcsKind.CONFLICT
+                    resolution = Resolution.ABSORB if pushed is None else Resolution.PUSH
+                    events.append(NcsEvent(kind, (int(pop.id[a]), int(pop.id[b])), resolution))
 
     # -- exploitation ----------------------------------------------------
 

@@ -268,6 +268,21 @@ class TestFitCommands:
         assert f"Error: {tmp_path / message if manifest else message}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_boundary_rejects_a_step_that_is_not_finite(self, runner, tmp_path, step):
+        # once "Error: arange: cannot compute length"
+        data = gen(runner, tmp_path)
+        model = tmp_path / "model.json"
+        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
+                                      "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "boundary.csv"
+        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
+                                      "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "Error: step must be positive and finite" in result.output
+        assert not out.exists()
+
 
 class TestSavedFiles:
     """Every command reads its JSON files by ``linear.read_json`` and writes every output by ``linear.opened``."""
@@ -303,21 +318,6 @@ class TestSavedFiles:
         result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"Error: {data}{message}" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("step", ["nan", "inf"])
-    def test_boundary_rejects_a_step_that_is_not_finite(self, runner, tmp_path, step):
-        # once "Error: arange: cannot compute length"
-        data = gen(runner, tmp_path)
-        model = tmp_path / "model.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
-                                      "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
-        assert result.exit_code == 0, result.output
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
-                                      "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: step must be positive and finite" in result.output
         assert not out.exists()
 
     def test_every_output_option_creates_missing_directories(self, runner, tmp_path, monkeypatch):

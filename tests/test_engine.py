@@ -326,6 +326,21 @@ class TestCompetitionAndConflict:
         assert b["confidence"] == -engine.cfg.penalty_weight
         assert a["confidence"] == engine.cfg.reward_weight
 
+    def test_an_absorption_does_not_regrow_over_a_pushed_disagreeing_box(self):
+        # a stream Hypothesis found: in its last cycle agent 1 pushes agent 0 off, then absorbs agent 2, and the
+        # enclosure grew agent 1 back over agent 0 until a second pass arbitrated the pair again
+        cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=0.5, exclude_points=True,
+                           train_on_correct=False)
+        engine = Engine(cfg, PA1, dim=1)
+        for x, y in [(0.0, 0), (0.0, 1), (-1.0, 0), (-1.0, 0), (-0.5, 0), (-0.5, 0), (0.0, 0), (0.0, 0), (-1.0, 0)]:
+            engine.explore_step([x], y)
+        assert (engine._margins(np.array([-0.5])) >= 0.0).tolist() == [True, False, False]
+        report = engine.explore_step([-0.5], 1)
+        assert [(e.participants, e.resolution) for e in report.ncs_events] == [
+            ((1, 0), Resolution.PUSH), ((1, 2), Resolution.ABSORB), ((1, 0), Resolution.PUSH)
+        ]
+        assert intersection_volume(row_box(engine, 0), row_box(engine, 1)) == 0.0
+
     def test_disjoint_pair_is_left_alone(self):
         # both boxes hold the point on their shared face, but touching is not overlapping
         engine = engine_with(

@@ -102,16 +102,16 @@ GOLDEN = {
     "linear/pa2/retract": {"trace": "5f570e22f9ef0b8d", "snapshot": "6101236f2e29947a", "lattice": "1476db925d5bd464", "exploit": "d919dcb7584b8ca9"},
     "linear/pa2/exclude": {"trace": "8306dd89c68eaab6", "snapshot": "ff934eed846a8f2d", "lattice": "ea36c1a6ef3e1209", "exploit": "3f44955cbe0faeff"},
     "linear/pa2/still": {"trace": "31279a93ee7a41cf", "snapshot": "4930d969933c4781", "lattice": "814a9f16a0066d39", "exploit": "7486028096b23b4f"},
-    "moons4/logit/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "0dd6330d2f7d1efa", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
+    "moons4/logit/retract": {"trace": "92719defa6769014", "snapshot": "0403a4a5c825edd0", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
     "moons4/logit/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "45e5cb42b0b0a742", "lattice": "055cb5470da23876", "exploit": "a36d1f9c1cd30980"},
     "moons4/logit/still": {"trace": "13ace62ac0fc99b2", "snapshot": "240a8fffbc7c778b", "lattice": "e3139cbe29d8deb8", "exploit": "c72c3f337bed2da3"},
-    "moons4/linear_svm/retract": {"trace": "3e5a44ae0b1e7e66", "snapshot": "9121c2f1046a6ed1", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
+    "moons4/linear_svm/retract": {"trace": "92719defa6769014", "snapshot": "0419e0e542e74aae", "lattice": "3465a1d407e556ad", "exploit": "9a948eab36d62bed"},
     "moons4/linear_svm/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "c4e97cb290aa367b", "lattice": "f0b786d52addf540", "exploit": "a36d1f9c1cd30980"},
     "moons4/linear_svm/still": {"trace": "13ace62ac0fc99b2", "snapshot": "5ed38999a9a96e3d", "lattice": "5a7af718c56655a2", "exploit": "c72c3f337bed2da3"},
-    "moons4/pa1/retract": {"trace": "a97879454281c734", "snapshot": "88b7d2fd995b7642", "lattice": "25a0246eb14ce068", "exploit": "9a948eab36d62bed"},
+    "moons4/pa1/retract": {"trace": "00117230b54e780d", "snapshot": "36e9fce62fe13e67", "lattice": "25a0246eb14ce068", "exploit": "9a948eab36d62bed"},
     "moons4/pa1/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "ffd61ed1e7072159", "lattice": "0b91ad1c763905fb", "exploit": "89ff49745f149db5"},
     "moons4/pa1/still": {"trace": "abf6eeba7f2283ff", "snapshot": "5d8ae8c6bf06de24", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
-    "moons4/pa2/retract": {"trace": "00025dfc3ac6886e", "snapshot": "fcb9f0334d71d7f2", "lattice": "17d92256d309ca93", "exploit": "9a948eab36d62bed"},
+    "moons4/pa2/retract": {"trace": "435e319f4b4427ec", "snapshot": "f89ee6268d843a45", "lattice": "17d92256d309ca93", "exploit": "9a948eab36d62bed"},
     "moons4/pa2/exclude": {"trace": "bef8fc40ee10f4f9", "snapshot": "307dc8b8db9afe47", "lattice": "478dff2c7db9d8a1", "exploit": "89ff49745f149db5"},
     "moons4/pa2/still": {"trace": "65d254ade6218dc9", "snapshot": "2abfb412c4a8691b", "lattice": "cf50530ee920b98f", "exploit": "c72c3f337bed2da3"},
     "moons6/logit/retract": {"trace": "1744e96c62327237", "snapshot": "fc6c2ba12ba1e3bb", "lattice": "262695666c7206b4", "exploit": "6465d70e8d744a8b"},
