@@ -53,7 +53,8 @@ than exploration cycles; two activated agents that proposed different
 classes end their cycle without overlap; exploitation mutates nothing
 (``to_json()`` is unchanged); ``predict(x)``, ``predict_batch([x])[0]``
 and ``exploit_step(x).prediction`` agree; a snapshot reads back to the
-same bytes.
+same bytes; ``train(X, Y)`` is the ``explore_step`` loop in its seeded
+order, and its trace is that loop's reports.
 """
 
 from __future__ import annotations

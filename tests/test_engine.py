@@ -82,6 +82,14 @@ def intersection_volume(a: Bounds, b: Bounds) -> float:
     return overlap_volume(overlap_widths(*a, *b))
 
 
+def train_data(n=60, seed=3):
+    """``n`` uniform points of [-2, 2]^2, labelled 1 inside the circle of radius sqrt(2)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, size=(n, 2))
+    Y = ((X[:, 0] ** 2 + X[:, 1] ** 2) < 2.0).astype(int)
+    return X, Y
+
+
 @st.composite
 def lattice_populations(draw):
     """Agents with unit-lattice boxes (shared faces and corners) and mostly equal scores."""
@@ -354,76 +362,10 @@ class TestCompetitionAndConflict:
 
 
 class TestExploreInvariants:
-    @staticmethod
-    def train_data(n=60, seed=3):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-2, 2, size=(n, 2))
-        Y = ((X[:, 0] ** 2 + X[:, 1] ** 2) < 2.0).astype(int)
-        return X, Y
-
-    def test_disagreeing_proposers_end_disjoint(self):
-        X, Y = self.train_data()
-        engine = Engine(
-            EngineConfig(init_radius=0.5, resize_factor=0.1, overlap_threshold=0.5),
-            PA1,
-            dim=2,
-        )
-        for x, y in zip(X, Y):
-            proposals = {
-                i: int(np.dot(a["model"]["weights"], x) + a["model"]["bias"] >= 0.0)
-                for i, a in agents_by_id(engine).items()
-                if contains(*region(a), x)
-            }
-            engine.explore_step(x, int(y))
-            alive = agents_by_id(engine)
-            for i, j in combinations(proposals, 2):
-                if proposals[i] != proposals[j] and i in alive and j in alive:
-                    assert intersection_volume(region(alive[i]), region(alive[j])) == 0.0
-
-    def test_population_bounded_by_observations(self):
-        X, Y = self.train_data()
-        engine = Engine(EngineConfig(init_radius=0.2, resize_factor=0.1), PA1, dim=2)
-        engine.train(X, Y)
-        assert len(engine.agents) <= X.shape[0]
-        assert engine.cycle == X.shape[0]
-
-    def test_agent_ids_unique_and_monotone(self):
-        X, Y = self.train_data()
-        engine = Engine(
-            EngineConfig(init_radius=0.3, resize_factor=0.2, overlap_threshold=0.2,
-                         exploration_passes=2),
-            PA1,
-            dim=2,
-        )
-        engine.train(X, Y)
-        ids = engine.agents.id.tolist()
-        assert len(ids) == len(set(ids))
-        assert max(ids) < engine._next_id
-
-    def test_cycle_counts_every_observation(self):
-        X, Y = self.train_data(n=20)
-        engine = Engine(EngineConfig(init_radius=0.3, exploration_passes=3), PA1, dim=2)
-        engine.train(X, Y)
-        assert engine.cycle == 60
-
     def test_rejects_label_outside_universe(self):
         engine = make_engine()
         with pytest.raises(ValueError):
             engine.explore_step(np.array([0.0, 0.0]), 2)
-
-    def test_train_writes_the_trace_of_an_explore_step_loop(self):
-        X, Y = self.train_data(n=50)
-        cfg = EngineConfig(init_radius=0.4, resize_factor=0.1, overlap_threshold=0.5, exclude_points=True,
-                           seed=4, exploration_passes=2)
-        trained, trace = Engine(cfg, PA1, dim=2), io.StringIO()
-        trained.train(X, Y, trace=trace)
-        stepped, lines = Engine(cfg, PA1, dim=2), []
-        order = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.exploration_passes):
-            for i in order.permutation(X.shape[0]):
-                lines.append(json.dumps(stepped.explore_step(X[i], int(Y[i])).to_dict(), sort_keys=True) + "\n")
-        assert trace.getvalue() == "".join(lines)
-        assert trained.to_json() == stepped.to_json()
 
     def test_untraced_training_builds_no_report(self, monkeypatch):
         built = []
@@ -437,7 +379,7 @@ class TestExploreInvariants:
         assert len(built) == 2  # the counters see an event and a report
 
     def test_trace_emits_one_line_per_cycle(self):
-        X, Y = self.train_data(n=15)
+        X, Y = train_data(n=15)
         engine = Engine(EngineConfig(init_radius=0.3), PA1, dim=2)
         buffer = io.StringIO()
         engine.train(X, Y, trace=buffer)
@@ -522,35 +464,6 @@ class TestExploitation:
         assert engine.predict(np.array([0.5, 0.5])) == 1  # covered by agent 0
         assert engine.predict(np.array([3.4, 2.0])) == 0  # uncovered: agent 1 is nearest
 
-    def test_exploitation_never_mutates(self):
-        X, Y = TestExploreInvariants.train_data()
-        engine = Engine(
-            EngineConfig(init_radius=0.4, resize_factor=0.1, overlap_threshold=0.5),
-            PA1,
-            dim=2,
-        )
-        engine.train(X, Y)
-        before = engine.to_json()
-        grid = np.random.default_rng(0).uniform(-3, 3, size=(300, 2))
-        first = engine.predict_batch(grid)
-        second = engine.predict_batch(grid)
-        assert engine.to_json() == before
-        assert np.array_equal(first, second)
-
-    def test_batch_matches_per_point_exploitation(self):
-        X, Y = TestExploreInvariants.train_data(n=80, seed=5)
-        engine = Engine(
-            EngineConfig(init_radius=0.4, resize_factor=0.1, overlap_threshold=0.2,
-                         exploration_passes=2),
-            PA1,
-            dim=2,
-        )
-        engine.train(X, Y)
-        points = np.random.default_rng(1).uniform(-3, 3, size=(200, 2))
-        batch = engine.predict_batch(points)
-        single = np.array([engine.exploit_step(p).prediction for p in points])
-        assert np.array_equal(batch, single)
-
     def test_nearest_agent_sees_subnormal_gaps(self):
         # squared, both gaps underflow to 0 and agent 0 would win the distance tie
         engine = engine_with(
@@ -603,7 +516,7 @@ class TestExploitation:
 class TestInputValidation:
     @staticmethod
     def trained() -> Engine:
-        X, Y = TestExploreInvariants.train_data(n=20)
+        X, Y = train_data(n=20)
         return Engine(EngineConfig(init_radius=0.3), PA1, dim=2).train(X, Y)
 
     def test_non_finite_observation_changes_nothing(self):
@@ -628,7 +541,7 @@ class TestInputValidation:
         assert engine.snapshot() == before
 
     def test_non_finite_training_row_rejected_up_front(self):
-        X, Y = TestExploreInvariants.train_data(n=20)
+        X, Y = train_data(n=20)
         X[15, 1] = np.inf
         engine = Engine(EngineConfig(), PA1, dim=2)
         with pytest.raises(ValueError, match="non-finite"):
@@ -657,7 +570,7 @@ class TestInputValidation:
                                      "label count", "no rows"])
     def test_bad_training_input_changes_nothing(self, bad):
         # train checks all of its input before the first cycle, which runs unchecked
-        X, Y = TestExploreInvariants.train_data(n=20, seed=8)
+        X, Y = train_data(n=20, seed=8)
         if bad == "late non-finite row":
             X[-1, 0] = np.nan
         elif bad == "wrong dimension":
@@ -740,28 +653,6 @@ class TestRowOperations:
 
 
 class TestPopulationInvariants:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans(),
-           st.sampled_from([None, 0.2, 0.5]))
-    @settings(max_examples=25, deadline=None)
-    def test_arrays_stay_consistent_over_random_streams(self, seed, dim, lattice, exclude, overlap):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-2, 2, size=(60, dim))
-        if lattice:  # shared faces and repeated points
-            X = np.round(X * 2) / 2
-        Y = rng.integers(0, 2, size=60)
-        cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=overlap,
-                           exclude_points=exclude)
-        engine = Engine(cfg, PA1, dim=dim)
-        for x, y in zip(X, Y):
-            engine.explore_step(x, int(y))
-            pop = engine.agents
-            m = len(pop)
-            assert all(getattr(pop, name).shape[0] == m for name in pop.FIELDS)
-            assert pop.lower.shape == pop.upper.shape == pop.weights.shape == (m, dim)
-            assert np.all(np.diff(pop.id) > 0)
-            assert np.all(pop.lower < pop.upper)
-            assert Engine.from_snapshot(engine.snapshot()).to_json() == engine.to_json()
-
     def test_growth_and_compaction_keep_every_row(self):
         # a twin rebuilt from the snapshot before every step holds exactly its live rows
         ds = standardize(gen_circles(n=300, noise=0.2, factor=0.5, seed=8))
@@ -797,47 +688,75 @@ LATTICE_POINTS = st.lists(st.integers(-2, 2).map(lambda k: k / 2), min_size=4, m
 FREE_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
 
 
+#: One point on either of them.
+POINTS = st.one_of(LATTICE_POINTS, FREE_POINTS)
+
+
 class EngineMachine(RuleBasedStateMachine):
-    """The invariants of the ``engine`` module docstring over random interleavings of exploration,
-    exploitation and snapshot round trips."""
+    """The invariants of the ``engine`` module docstring over random interleavings of exploration, training
+    of a twin, exploitation and snapshot round trips."""
 
     @initialize(dim=st.integers(1, 4), kind=st.sampled_from(ModelKind), exclude=st.booleans(),
-                train_on_correct=st.booleans(), overlap=st.sampled_from([None, 0.2, 0.5]))
-    def build(self, dim, kind, exclude, train_on_correct, overlap):
-        cfg = EngineConfig(init_radius=0.5, resize_factor=0.2, overlap_threshold=overlap, exclude_points=exclude,
-                           train_on_correct=train_on_correct)
+                train_on_correct=st.booleans(), overlap=st.sampled_from([None, 0.2, 0.5]),
+                radius=st.sampled_from([0.2, 0.5]), resize=st.sampled_from([0.0, 0.1, 0.2]), seed=st.integers(0, 3),
+                passes=st.sampled_from([1, 2]))
+    def build(self, dim, kind, exclude, train_on_correct, overlap, radius, resize, seed, passes):
+        cfg = EngineConfig(init_radius=radius, resize_factor=resize, overlap_threshold=overlap,
+                           exclude_points=exclude, train_on_correct=train_on_correct, seed=seed,
+                           exploration_passes=passes)
         self.engine = Engine(cfg, LinearModelConfig(kind=kind), dim=dim)
+        self.cycles = 0  # exploration cycles run, across round trips
 
     @rule(x=LATTICE_POINTS, y=st.integers(0, 1))
     def explore_lattice(self, x, y):
-        self.explore(x, y)
+        self.explore(np.array(x[:self.engine.dim]), y)
 
     @rule(x=FREE_POINTS, y=st.integers(0, 1))
     def explore_free(self, x, y):
-        self.explore(x, y)
+        self.explore(np.array(x[:self.engine.dim]), y)
 
     def explore(self, x, y):
-        engine = self.engine
-        x = np.array(x[:engine.dim])
+        """``explore_step(x, y)``, checking that each surviving activated agent's confidence moved by the
+        feedback on its proposal, and that its disagreeing proposers end disjoint; its report."""
+        engine, cfg = self.engine, self.engine.cfg
         proposals = dict(zip(engine.agents.id.tolist(), (engine._margins(x) >= 0.0).tolist()))
+        confidence = dict(zip(engine.agents.id.tolist(), engine.agents.confidence.tolist()))
         report = engine.explore_step(x, y)
+        self.cycles += 1
         rows = {i: row for row, i in enumerate(engine.agents.id.tolist())}
+        for a in set(report.activated_ids) & set(rows):
+            step = cfg.reward_weight if proposals[a] == y else -cfg.penalty_weight
+            assert engine.agents.confidence[rows[a]] == confidence[a] + step
         for a, b in combinations(report.activated_ids, 2):
             if proposals[a] != proposals[b] and a in rows and b in rows:
                 assert intersection_volume(row_box(engine, rows[a]), row_box(engine, rows[b])) == 0.0
+        return report
 
-    @rule(x=st.one_of(LATTICE_POINTS, FREE_POINTS))
-    def exploit(self, x):
+    @rule(batch=st.lists(st.tuples(POINTS, st.integers(0, 1)), min_size=1, max_size=8))
+    def train_twin(self, batch):
+        # a twin's traced train is this engine's explore_step loop in the seeded order, report for report
+        X, Y = np.array([x[:self.engine.dim] for x, _ in batch]), [y for _, y in batch]
+        twin, trace = Engine.from_snapshot(json.loads(self.engine.to_json())), io.StringIO()
+        twin.train(X, Y, trace=trace)
+        order, lines = np.random.default_rng(self.engine.cfg.seed), []
+        for _ in range(self.engine.cfg.exploration_passes):
+            for i in order.permutation(len(batch)).tolist():
+                lines.append(json.dumps(self.explore(X[i], Y[i]).to_dict(), sort_keys=True) + "\n")
+        assert trace.getvalue() == "".join(lines)
+        assert twin.to_json() == self.engine.to_json()
+
+    @rule(block=st.lists(POINTS, min_size=1, max_size=5))
+    def exploit(self, block):
         engine = self.engine
-        x = np.array(x[:engine.dim])
+        X = np.array([x[:engine.dim] for x in block])
         if not len(engine.agents):
             with pytest.raises(RuntimeError):
-                engine.predict(x)
+                engine.predict(X[0])
             return
         before = engine.to_json()
-        label = engine.predict(x)
-        assert engine.predict_batch(x[None, :]).tolist() == [label]
-        assert engine.exploit_step(x).prediction == label
+        labels = [engine.predict(x) for x in X]
+        assert engine.predict_batch(X).tolist() == labels
+        assert [engine.exploit_step(x).prediction for x in X] == labels
         assert engine.to_json() == before
 
     @rule()
@@ -850,9 +769,11 @@ class EngineMachine(RuleBasedStateMachine):
     def rows_are_consistent(self):
         engine = self.engine
         pop = engine.agents
+        for name, (_, vector) in pop.FIELDS.items():
+            assert getattr(pop, name).shape == ((len(pop), engine.dim) if vector else (len(pop),))
         assert np.all(pop.lower < pop.upper)
         assert np.all(np.diff(pop.id) > 0) and np.all(pop.id < engine._next_id)
-        assert len(pop) <= engine.cycle
+        assert len(pop) <= engine.cycle == self.cycles
 
 
 EngineMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=50, deadline=None)
@@ -861,7 +782,7 @@ TestEngineMachine = EngineMachine.TestCase
 
 class TestDeterminismAndPersistence:
     def test_identical_runs_are_byte_identical(self):
-        X, Y = TestExploreInvariants.train_data(n=70, seed=9)
+        X, Y = train_data(n=70, seed=9)
         cfg = EngineConfig(init_radius=0.3, resize_factor=0.1, overlap_threshold=0.5,
                            exclude_points=True, seed=123, exploration_passes=2)
         a = Engine(cfg, PA1, dim=2).train(X, Y)
@@ -869,15 +790,6 @@ class TestDeterminismAndPersistence:
         assert a.to_json() == b.to_json()
         pts = np.random.default_rng(2).uniform(-3, 3, size=(100, 2))
         assert np.array_equal(a.predict_batch(pts), b.predict_batch(pts))
-
-    def test_snapshot_roundtrip_preserves_predictions(self):
-        X, Y = TestExploreInvariants.train_data(n=40, seed=21)
-        engine = Engine(EngineConfig(init_radius=0.3, resize_factor=0.1), PA1, dim=2)
-        engine.train(X, Y)
-        restored = Engine.from_snapshot(json.loads(engine.to_json()))
-        assert restored.to_json() == engine.to_json()
-        pts = np.random.default_rng(3).uniform(-3, 3, size=(50, 2))
-        assert np.array_equal(restored.predict_batch(pts), engine.predict_batch(pts))
 
     def test_single_point_training_predicts_its_label(self):
         engine = Engine(EngineConfig(init_radius=0.2), PA1, dim=2)
