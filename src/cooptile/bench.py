@@ -34,6 +34,9 @@ KINDS = (ModelKind.LOGIT, ModelKind.LINEAR_SVM, ModelKind.PA_I, ModelKind.PA_II)
 #: Dataset names in reporting order.
 DATASET_NAMES = ("moons", "circles", "linear")
 
+#: Most points ``boundary_grid`` evaluates; the README's circles lattice holds 68,226.
+MAX_LATTICE_POINTS = 10**7
+
 STAGE_ALONE = "ALONE"
 STAGE_MAS = "MAS"
 
@@ -258,12 +261,17 @@ class BoundaryGrid:
 
 
 def boundary_grid(predict_fn, X, step: float = 0.02, margin: float = 0.5) -> BoundaryGrid:
-    """Evaluate a batch predictor on a lattice spanning the data + margin."""
+    """Evaluate a batch predictor on a lattice spanning the data + margin, of at most ``MAX_LATTICE_POINTS``."""
     if not 0 < step < math.inf:
         raise ValueError("step must be positive and finite")
     X = np.asarray(X, dtype=float)
-    xs = np.arange(X[:, 0].min() - margin, X[:, 0].max() + margin + step / 2, step)
-    ys = np.arange(X[:, 1].min() - margin, X[:, 1].max() + margin + step / 2, step)
+    start, stop = X.min(axis=0) - margin, X.max(axis=0) + margin + step / 2
+    with np.errstate(over="ignore"):  # np.arange's lengths, counted before it allocates; inf for a tiny step
+        count = float(np.prod(np.ceil((stop - start) / step)))
+    if count > MAX_LATTICE_POINTS:
+        raise ValueError(f"a step of {step} gives a lattice of {count:.3g} points, more than {MAX_LATTICE_POINTS:,}")
+    xs = np.arange(start[0], stop[0], step)
+    ys = np.arange(start[1], stop[1], step)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([xx.ravel(), yy.ravel()])
     labels = np.asarray(predict_fn(points), dtype=int).reshape(len(xs), len(ys))

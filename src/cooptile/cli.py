@@ -34,17 +34,21 @@ def main():
 @main.command("gen-data")
 @click.option("--dataset", type=click.Choice(["moons", "circles", "linear"]), required=True)
 @click.option("--n", default=100, show_default=True)
-@click.option("--noise", default=None, type=float, help="Jitter sigma (moons: 0.3, circles: 0.2).")
-@click.option("--factor", default=0.5, show_default=True, help="Inner/outer radius ratio (circles).")
+@click.option("--noise", default=None, type=float, help="Jitter sigma (moons: 0.3, circles: 0.2; not linear).")
+@click.option("--factor", default=None, type=float, help="Inner/outer radius ratio (circles only: 0.5).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--standardize", "do_standardize", is_flag=True, help="Z-score the columns.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen_data(dataset, n, noise, factor, seed, do_standardize, out):
     """Generate one benchmark dataset as CSV (plus a sidecar manifest)."""
+    if noise is not None and dataset == "linear":
+        raise ValueError("--noise does not apply to the linear dataset")
+    if factor is not None and dataset != "circles":
+        raise ValueError(f"--factor applies to circles only, not to the {dataset} dataset")
     if dataset == "moons":
         ds = datasets.gen_moons(n, 0.3 if noise is None else noise, seed)
     elif dataset == "circles":
-        ds = datasets.gen_circles(n, 0.2 if noise is None else noise, factor, seed)
+        ds = datasets.gen_circles(n, 0.2 if noise is None else noise, 0.5 if factor is None else factor, seed)
     else:
         ds = datasets.gen_linear(n, seed)
     if do_standardize:

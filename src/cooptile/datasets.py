@@ -148,7 +148,8 @@ def save_csv(ds: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Read a ``x1,x2,y`` file written by :func:`save_csv`, and its manifest, if any, by ``checked_value``; a
-    file that is not UTF-8 text of finite coordinates raises ``ValueError`` naming it."""
+    file that is not UTF-8 text of finite coordinates and 0/1 labels, or that ``Dataset`` refuses, raises
+    ``ValueError`` naming it."""
     path = Path(path)
     xs, ys = [], []
     with open(path) as f:
@@ -167,15 +168,23 @@ def load_csv(path) -> Dataset:
                     x = (float(parts[0]), float(parts[1]))
                     if not (math.isfinite(x[0]) and math.isfinite(x[1])):
                         raise ValueError(f"coordinates must be finite, got {parts[0]!r} and {parts[1]!r}")
+                    y = int(parts[2])
+                    if y not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {parts[2]!r}")
                     xs.append(x)
-                    ys.append(int(parts[2]))
+                    ys.append(y)
                 except ValueError as err:
                     raise ValueError(f"{path}: line {lineno}: {err}") from None
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: {err}") from None
+    if not xs:
+        raise ValueError(f"{path}: holds no points")
     manifest = path.with_suffix(path.suffix + ".json")
     meta = {}
     if manifest.exists():  # the generator parameters that save_csv writes
         params = {"generator": str, "n": int, "noise": float, "factor": float, "seed": int, "standardized": bool}
         meta = checked_value(read_json(manifest), Keys({}, params), str(manifest))
-    return Dataset(np.asarray(xs, dtype=float), np.asarray(ys, dtype=int), meta=meta)
+    try:
+        return Dataset(np.asarray(xs, dtype=float), np.asarray(ys, dtype=int), meta=meta)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

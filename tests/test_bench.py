@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cooptile.bench as bench
 from cooptile.bench import (
     BoundaryGrid,
     ResultRecord,
@@ -238,6 +239,21 @@ class TestBoundaryGrid:
         # each once reached np.arange, which failed with "arange: cannot compute length"
         with pytest.raises(ValueError, match="step must be positive and finite"):
             boundary_grid(lambda P: np.zeros(len(P)), np.zeros((2, 2)), step=step)
+
+    def test_rejects_a_lattice_over_the_cap_before_allocating(self, monkeypatch):
+        # a step of 1e-7 once ended in numpy's "Unable to allocate 20.2 PiB" MemoryError
+        def never(P):
+            raise AssertionError("predicted on a lattice over the cap")
+
+        message = "a step of 1e-07 gives a lattice of 1e+14 points, more than 10,000,000"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            boundary_grid(never, np.zeros((2, 2)), step=1e-7)
+        # the count is np.arange's: 3 x 3 points at step 0.5 from -0.5 to below 0.75
+        monkeypatch.setattr(bench, "MAX_LATTICE_POINTS", 9)
+        assert boundary_grid(lambda P: np.zeros(len(P), dtype=int), np.zeros((2, 2)), step=0.5).labels.shape == (3, 3)
+        monkeypatch.setattr(bench, "MAX_LATTICE_POINTS", 8)
+        with pytest.raises(ValueError, match="a lattice of 9 points, more than 8$"):
+            boundary_grid(never, np.zeros((2, 2)), step=0.5)
 
     def test_encloses_origin_true_for_disk(self):
         xs = np.arange(-2, 2.01, 0.1)

@@ -28,12 +28,13 @@ def gen(runner, tmp_path, dataset="linear", n=40, seed=1, standardized=True):
     return path
 
 
-def assert_rejected(runner, tmp_path, options, message):
+def assert_rejected(runner, tmp_path, options, message, dataset="moons"):
     """``gen-data`` with ``options`` ends in a click error naming ``message``, not a traceback, and writes nothing."""
-    result = runner.invoke(main, ["gen-data", "--dataset", "moons", *options, "--out", str(tmp_path / "moons.csv")])
+    out = tmp_path / f"{dataset}.csv"
+    result = runner.invoke(main, ["gen-data", "--dataset", dataset, *options, "--out", str(out)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert f"Error: {message}" in result.output
-    assert not (tmp_path / "moons.csv").exists()
+    assert not out.exists()
 
 
 class TestGenData:
@@ -46,6 +47,15 @@ class TestGenData:
 
     def test_negative_noise_rejected(self, runner, tmp_path):
         assert_rejected(runner, tmp_path, ["--noise", "-1"], "noise must be non-negative and finite")
+
+    @pytest.mark.parametrize("dataset,options,message", [
+        ("linear", ["--noise", "0.1"], "--noise does not apply to the linear dataset"),
+        ("moons", ["--factor", "0.3"], "--factor applies to circles only, not to the moons dataset"),
+        ("linear", ["--factor", "0.5"], "--factor applies to circles only, not to the linear dataset"),
+    ])
+    def test_an_option_the_generator_ignores_is_rejected(self, runner, tmp_path, dataset, options, message):
+        # each once wrote its file, the value reaching neither the points nor the manifest
+        assert_rejected(runner, tmp_path, options, message, dataset)
 
     def test_single_point_rejected(self, runner, tmp_path):
         assert_rejected(runner, tmp_path, ["--n", "1"], "need at least 2 points")

@@ -191,6 +191,23 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load_csv(path)
 
+    @pytest.mark.parametrize("rows,message", [("", "holds no points"),
+                                              ("0.5,0.25,1\n1.5,0.25,1\n", "both classes must be present")])
+    def test_an_unusable_dataset_is_named(self, tmp_path, rows, message):
+        # once "X must be a 2-d matrix" for a file without rows, and for one class a message naming no file
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,y\n" + rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_a_label_other_than_0_or_1_names_its_line(self, tmp_path, label):
+        # once "labels must be 0/1, got [1, 2]", naming neither the file nor the line
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,y\n0.5,0.25,{label}\n1.5,0.25,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: label must be 0 or 1, got '{label}'$"):
+            load_csv(path)
+
 
 class TestDatasetInvariants:
     def test_rejects_label_mismatch(self):
