@@ -37,6 +37,22 @@ def assert_rejected(runner, tmp_path, options, message, dataset="moons"):
     assert not out.exists()
 
 
+def assert_boundary_rejected(runner, tmp_path, step, message):
+    """``boundary --step step`` on a fitted linear model ends in a click error naming ``message`` and writes
+    nothing."""
+    data = gen(runner, tmp_path)
+    model = tmp_path / "model.json"
+    result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
+                                  "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "boundary.csv"
+    result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
+                                  "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert not out.exists()
+
+
 class TestGenData:
     def test_writes_loadable_csv_with_manifest(self, runner, tmp_path):
         path = gen(runner, tmp_path, dataset="moons", n=60, standardized=False)
@@ -56,6 +72,13 @@ class TestGenData:
     def test_an_option_the_generator_ignores_is_rejected(self, runner, tmp_path, dataset, options, message):
         # each once wrote its file, the value reaching neither the points nor the manifest
         assert_rejected(runner, tmp_path, options, message, dataset)
+
+    @pytest.mark.parametrize("options,factor", [([], 0.5), (["--factor", "0.3"], 0.3)])
+    def test_circles_factor_reaches_the_manifest(self, runner, tmp_path, options, factor):
+        path = tmp_path / "circles.csv"
+        result = runner.invoke(main, ["gen-data", "--dataset", "circles", *options, "--out", str(path)])
+        assert result.exit_code == 0, result.output
+        assert load_csv(path).meta["factor"] == factor
 
     def test_single_point_rejected(self, runner, tmp_path):
         assert_rejected(runner, tmp_path, ["--n", "1"], "need at least 2 points")
@@ -281,17 +304,11 @@ class TestFitCommands:
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_boundary_rejects_a_step_that_is_not_finite(self, runner, tmp_path, step):
         # once "Error: arange: cannot compute length"
-        data = gen(runner, tmp_path)
-        model = tmp_path / "model.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
-                                      "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
-        assert result.exit_code == 0, result.output
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
-                                      "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: step must be positive and finite" in result.output
-        assert not out.exists()
+        assert_boundary_rejected(runner, tmp_path, step, "step must be positive and finite")
+
+    def test_boundary_refuses_a_lattice_over_the_cap(self, runner, tmp_path):
+        # once a MemoryError traceback: "Unable to allocate 20.2 PiB"
+        assert_boundary_rejected(runner, tmp_path, "1e-7", "a step of 1e-07 gives a lattice of")
 
 
 class TestSavedFiles:
