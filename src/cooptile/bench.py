@@ -168,13 +168,14 @@ def _grid_search(ds: Dataset, kind: ModelKind, stage: str, train, grid: list[dic
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     score = functools.partial(_cell_scores, ds.X, ds.Y, kfold_split(ds.Y, n_folds, cv_seed), train, fit_seed)
-    if jobs > 1:
+    workers = min(jobs, len(grid))  # the pool starts every worker at once, and a cell goes to one worker
+    if workers > 1:
         # imported here: the pool machinery adds about 1.6 MiB to processes that never start one
         from concurrent.futures import ProcessPoolExecutor
 
         # cells go out four at a time only while each worker still gets four chunks or more
-        chunksize = max(1, min(4, len(grid) // (4 * jobs)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, min(4, len(grid) // (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scores = list(pool.map(score, range(len(grid)), grid, chunksize=chunksize))
     else:
         scores = list(map(score, range(len(grid)), grid))
@@ -203,6 +204,8 @@ def grid_search_linear(
     dataset_name: str | None = None,
 ) -> ResultRecord:
     """Cross-validated hyperparameter search for one bare classifier."""
+    if checked_value(epochs, int, "epochs") < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     kind = ModelKind(kind)
     train = functools.partial(train_linear, kind, epochs=epochs)
     grid = default_linear_grid(kind) if grid is None else grid
@@ -278,59 +281,6 @@ def boundary_grid(predict_fn, X, step: float = 0.02, margin: float = 0.5) -> Bou
     return BoundaryGrid(xs=xs, ys=ys, labels=labels)
 
 
-def frontier_midpoints(grid: BoundaryGrid) -> np.ndarray:
-    """Midpoints between lattice neighbours with differing labels."""
-    points = []
-    xs, ys, labels = grid.xs, grid.ys, grid.labels
-    diff_x = labels[:-1, :] != labels[1:, :]
-    for i, j in zip(*np.nonzero(diff_x)):
-        points.append(((xs[i] + xs[i + 1]) / 2.0, ys[j]))
-    diff_y = labels[:, :-1] != labels[:, 1:]
-    for i, j in zip(*np.nonzero(diff_y)):
-        points.append((xs[i], (ys[j] + ys[j + 1]) / 2.0))
-    return np.asarray(points, dtype=float).reshape(-1, 2)
-
-
-def max_line_residual(points: np.ndarray) -> float:
-    """Largest orthogonal distance from the total-least-squares line.
-
-    Two or fewer points are always collinear (residual 0); a straight
-    frontier keeps this below the lattice step.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    if points.shape[0] <= 2:
-        return 0.0
-    centered = points - points.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return float(np.abs(centered @ vt[-1]).max())
-
-
-def encloses_origin(grid: BoundaryGrid) -> bool:
-    """True when the origin's label component never reaches the lattice edge.
-
-    Flood-fills same-label cells starting at the cell nearest (0, 0); a
-    closed frontier around the origin keeps the fill interior.
-    """
-    i0 = int(np.abs(grid.xs).argmin())
-    j0 = int(np.abs(grid.ys).argmin())
-    labels = grid.labels
-    target = labels[i0, j0]
-    ni, nj = labels.shape
-    seen = np.zeros_like(labels, dtype=bool)
-    stack = [(i0, j0)]
-    seen[i0, j0] = True
-    while stack:
-        i, j = stack.pop()
-        if i == 0 or j == 0 or i == ni - 1 or j == nj - 1:
-            return False
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if not seen[a, b] and labels[a, b] == target:
-                seen[a, b] = True
-                stack.append((a, b))
-    return True
-
-
 # -- full experiment ---------------------------------------------------------
 
 _CONFIG_DEFAULTS = {
@@ -355,6 +305,8 @@ def experiment_config(overrides: dict | None = None) -> dict:
         raise ValueError("folds must be at least 2")
     if config["n"] < 2 * config["folds"]:
         raise ValueError("n too small for the requested fold count")
+    if config["epochs"] < 1:
+        raise ValueError("epochs must be at least 1")
     if config["exploration_passes"] < 1 or config["jobs"] < 1:
         raise ValueError("exploration_passes and jobs must be at least 1")
     if not (config["noise_moons"] >= 0 and config["noise_circles"] >= 0):

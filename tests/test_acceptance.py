@@ -18,11 +18,8 @@ from cooptile.bench import (
     KINDS,
     boundary_grid,
     build_datasets,
-    encloses_origin,
     experiment_config,
-    frontier_midpoints,
     grid_search_linear,
-    max_line_residual,
     run_experiment,
     train_engine,
     train_linear,
@@ -30,6 +27,8 @@ from cooptile.bench import (
 from cooptile.engine import Engine
 from cooptile.geometry import contains, exclude, overlap_volume, overlap_widths, push, rescale, volume
 from cooptile.linear import LinearModelConfig, ModelKind
+
+from boundary_checks import encloses_origin, frontier_midpoints, max_line_residual
 
 KIND_VALUES = [k.value for k in KINDS]
 

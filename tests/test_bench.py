@@ -1,5 +1,6 @@
 """Cross-validation protocol, grid search, and boundary-grid checks."""
 
+import concurrent.futures
 import json
 import math
 import re
@@ -18,17 +19,16 @@ from cooptile.bench import (
     boundary_grid,
     default_engine_grid,
     default_linear_grid,
-    encloses_origin,
     experiment_config,
-    frontier_midpoints,
     kfold_split,
     grid_search_linear,
     grid_search_mas,
-    max_line_residual,
     run_experiment,
 )
 from cooptile.datasets import Dataset, gen_linear, standardize
 from cooptile.linear import LinearModelConfig, ModelKind
+
+from boundary_checks import encloses_origin, frontier_midpoints, max_line_residual
 
 
 class TestKfoldSplit:
@@ -202,6 +202,30 @@ class TestGridSearch:
         parallel = grid_search_mas(ds, ModelKind.PA_I, {"aggressiveness_c": 1.0},
                                    grid=grid, passes=1, jobs=2)
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_a_pool_never_outnumbers_its_cells(self, monkeypatch):
+        # a pool forks all its workers at its first cell, so it once forked one process per job, however few the cells
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ds = self.easy_dataset()
+        grid = default_engine_grid()[:2]
+        serial = grid_search_mas(ds, ModelKind.PA_I, {"aggressiveness_c": 1.0}, grid=grid, passes=1, jobs=1)
+        capped = grid_search_mas(ds, ModelKind.PA_I, {"aggressiveness_c": 1.0}, grid=grid, passes=1, jobs=10**6)
+        assert pools == [2] and capped.to_dict() == serial.to_dict()
 
 
 class TestBoundaryGrid:

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on small inputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -28,31 +29,6 @@ def gen(runner, tmp_path, dataset="linear", n=40, seed=1, standardized=True):
     return path
 
 
-def assert_rejected(runner, tmp_path, options, message, dataset="moons"):
-    """``gen-data`` with ``options`` ends in a click error naming ``message``, not a traceback, and writes nothing."""
-    out = tmp_path / f"{dataset}.csv"
-    result = runner.invoke(main, ["gen-data", "--dataset", dataset, *options, "--out", str(out)])
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert f"Error: {message}" in result.output
-    assert not out.exists()
-
-
-def assert_boundary_rejected(runner, tmp_path, step, message):
-    """``boundary --step step`` on a fitted linear model ends in a click error naming ``message`` and writes
-    nothing."""
-    data = gen(runner, tmp_path)
-    model = tmp_path / "model.json"
-    result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "1",
-                                  "--out", str(tmp_path / "alone.json"), "--model-out", str(model)])
-    assert result.exit_code == 0, result.output
-    out = tmp_path / "boundary.csv"
-    result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--step", step,
-                                  "--out", str(out)])
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert f"Error: {message}" in result.output
-    assert not out.exists()
-
-
 class TestGenData:
     def test_writes_loadable_csv_with_manifest(self, runner, tmp_path):
         path = gen(runner, tmp_path, dataset="moons", n=60, standardized=False)
@@ -61,27 +37,12 @@ class TestGenData:
         assert ds.meta["generator"] == "moons"
         assert (tmp_path / "moons.csv.json").exists()
 
-    def test_negative_noise_rejected(self, runner, tmp_path):
-        assert_rejected(runner, tmp_path, ["--noise", "-1"], "noise must be non-negative and finite")
-
-    @pytest.mark.parametrize("dataset,options,message", [
-        ("linear", ["--noise", "0.1"], "--noise does not apply to the linear dataset"),
-        ("moons", ["--factor", "0.3"], "--factor applies to circles only, not to the moons dataset"),
-        ("linear", ["--factor", "0.5"], "--factor applies to circles only, not to the linear dataset"),
-    ])
-    def test_an_option_the_generator_ignores_is_rejected(self, runner, tmp_path, dataset, options, message):
-        # each once wrote its file, the value reaching neither the points nor the manifest
-        assert_rejected(runner, tmp_path, options, message, dataset)
-
     @pytest.mark.parametrize("options,factor", [([], 0.5), (["--factor", "0.3"], 0.3)])
     def test_circles_factor_reaches_the_manifest(self, runner, tmp_path, options, factor):
         path = tmp_path / "circles.csv"
         result = runner.invoke(main, ["gen-data", "--dataset", "circles", *options, "--out", str(path)])
         assert result.exit_code == 0, result.output
         assert load_csv(path).meta["factor"] == factor
-
-    def test_single_point_rejected(self, runner, tmp_path):
-        assert_rejected(runner, tmp_path, ["--n", "1"], "need at least 2 points")
 
     def test_standardize_flag(self, runner, tmp_path):
         ds = load_csv(gen(runner, tmp_path, dataset="circles", n=50))
@@ -146,206 +107,9 @@ class TestFitCommands:
         ])
         assert result.exit_code == 0, result.output
 
-    def test_fit_mas_rejects_a_record_of_another_kind(self, runner, tmp_path):
-        data = gen(runner, tmp_path)
-        alone = tmp_path / "logit.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "logit", "--epochs", "2",
-                                      "--out", str(alone)])
-        assert result.exit_code == 0, result.output
-        mas_out = tmp_path / "mas.json"
-        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
-                                      "--out", str(mas_out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: --linear-params holds a logit ALONE record, not the pa1 ALONE record" in result.output
-        assert not mas_out.exists()
-
-    def test_boundary_rejects_a_model_file_without_its_payload(self, runner, tmp_path):
-        # once exited 2 with a usage text
-        data = gen(runner, tmp_path)
-        model = tmp_path / "engine.json"
-        model.write_text(json.dumps({"type": "engine"}))
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {model} lacks the key 'snapshot'" in result.output and "Usage:" not in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("saved,message", [
-        ({"type": "svm", "model": {}}, ": type must be one of ['engine', 'linear'], got 'svm'"),
-        ({"type": "engine", "model": {}}, " lacks the key 'snapshot'"),
-        ({"model": {}}, " lacks the key 'type'"),
-        ({"type": "linear", "model": {}, "weights": []}, " holds the unknown key 'weights'"),
-    ], ids=["unknown_type", "payload_of_another_type", "no_type", "unknown_key"])
-    def test_boundary_rejects_a_model_file_of_no_known_type(self, runner, tmp_path, saved, message):
-        # an unknown type once exited 2 with a usage text
-        data = gen(runner, tmp_path)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(saved))
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {model}{message}" in result.output and "Usage:" not in result.output
-        assert not out.exists()
-
-    def test_boundary_names_the_key_a_snapshot_lacks(self, runner, tmp_path):
-        data = gen(runner, tmp_path)
-        model = tmp_path / "engine.json"
-        model.write_text(json.dumps({"type": "engine", "snapshot": {}}))
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: snapshot lacks the key 'config'" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("reshape", ["snapshot", "agent", "region"])
-    def test_boundary_rejects_a_snapshot_of_the_wrong_shape(self, runner, tmp_path, reshape):
-        # a list for the snapshot, a number for an agent, null for a region: each once a TypeError traceback
-        data = gen(runner, tmp_path)
-        agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
-                 "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
-        snapshot = {"config": EngineConfig().to_dict(), "model_config": LinearModelConfig(kind="pa1").to_dict(),
-                    "dim": 2, "cycle": 0, "next_agent_id": 2, "agents": [agent, {**agent, "id": 1}]}
-        if reshape == "snapshot":
-            snapshot, message = [], "snapshot must be a JSON object, got list"
-        elif reshape == "agent":
-            snapshot["agents"][1], message = 1, "snapshot.agents[1] must be a JSON object, got int"
-        else:
-            snapshot["agents"][1]["region"] = None
-            message = "snapshot.agents[1].region must be a JSON object, got NoneType"
-        model = tmp_path / "engine.json"
-        model.write_text(json.dumps({"type": "engine", "snapshot": snapshot}))
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {message}" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("kind", ["engine", "linear"])
-    def test_boundary_rejects_a_value_its_writer_never_writes(self, runner, tmp_path, kind):
-        # a negative cycle counter, or a key a linear model does not hold: each once loaded without a word
-        data = gen(runner, tmp_path)
-        if kind == "engine":
-            agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
-                     "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
-            payload = {"snapshot": {"config": EngineConfig().to_dict(),
-                                    "model_config": LinearModelConfig(kind="pa1").to_dict(), "dim": 2, "cycle": -1,
-                                    "next_agent_id": 1, "agents": [agent]}}
-            message = "Error: snapshot.cycle must be a non-negative integer, got -1"
-        else:
-            payload = {"model": {**LinearModelConfig(kind="pa1").build(2).to_dict(), "momentum": 0.9}}
-            message = "Error: model holds the unknown key 'momentum'"
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps({"type": kind, **payload}))
-        out = tmp_path / "boundary.csv"
-        result = runner.invoke(main, ["boundary", "--model", str(model), "--data", str(data), "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert message in result.output
-        assert not out.exists()
-
-    def test_fit_mas_rejects_best_params_that_are_not_an_object(self, runner, tmp_path):
-        data = gen(runner, tmp_path)
-        alone = tmp_path / "alone.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--epochs", "2",
-                                      "--out", str(alone)])
-        assert result.exit_code == 0, result.output
-        alone.write_text(json.dumps({**json.loads(alone.read_text()), "best_params": [1]}))
-        mas_out = tmp_path / "mas.json"
-        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
-                                      "--out", str(mas_out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: record.best_params must be a JSON object, got list" in result.output
-        assert not mas_out.exists()
-
-    @pytest.mark.parametrize("best_params,message", [
-        ({"aggressiveness_c": 1.0, "momentum": 0.9}, "record.best_params holds the unknown key 'momentum'"),
-        ({"aggressiveness_c": "1.0"}, "record.best_params: aggressiveness_c must be a number, got '1.0'"),
-    ], ids=["unknown_key", "string"])
-    def test_fit_mas_rejects_best_params_fit_linear_never_writes(self, runner, tmp_path, best_params, message):
-        # the unknown key was once dropped without a word, and the string ended in a TypeError's traceback
-        data = gen(runner, tmp_path)
-        alone = tmp_path / "alone.json"
-        record = bench.ResultRecord("linear", "pa1", "ALONE", best_params, [1.0] * 5, 1.0)
-        alone.write_text(json.dumps(record.to_dict()))
-        mas_out = tmp_path / "mas.json"
-        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
-                                      "--out", str(mas_out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {message}" in result.output
-        assert not mas_out.exists()
-
-    def test_fit_mas_rejects_zero_jobs(self, runner, tmp_path):
-        # once ran serially without a word
-        data = gen(runner, tmp_path)
-        alone = tmp_path / "alone.json"
-        record = bench.ResultRecord("linear", "pa1", "ALONE", {"aggressiveness_c": 1.0}, [1.0] * 5, 1.0)
-        alone.write_text(json.dumps(record.to_dict()))
-        mas_out = tmp_path / "mas.json"
-        result = runner.invoke(main, ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(alone),
-                                      "--jobs", "0", "--out", str(mas_out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: jobs must be at least 1, got 0" in result.output
-        assert not mas_out.exists()
-
-    @pytest.mark.parametrize("manifest,options,message", [
-        ("[]", [], "linear.csv.json must be a JSON object, got list"),
-        (None, ["--epochs", "-3"], "epochs must be a non-negative integer, got -3"),
-    ], ids=["list_manifest", "negative_epochs"])
-    def test_fit_linear_rejects_a_value_nothing_writes(self, runner, tmp_path, manifest, options, message):
-        # a list manifest once ended in an AttributeError's traceback, and -3 epochs trained nothing
-        data = gen(runner, tmp_path)
-        if manifest is not None:
-            (tmp_path / "linear.csv.json").write_text(manifest)
-        out = tmp_path / "alone.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", *options, "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {tmp_path / message if manifest else message}" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("step", ["nan", "inf"])
-    def test_boundary_rejects_a_step_that_is_not_finite(self, runner, tmp_path, step):
-        # once "Error: arange: cannot compute length"
-        assert_boundary_rejected(runner, tmp_path, step, "step must be positive and finite")
-
-    def test_boundary_refuses_a_lattice_over_the_cap(self, runner, tmp_path):
-        # once a MemoryError traceback: "Unable to allocate 20.2 PiB"
-        assert_boundary_rejected(runner, tmp_path, "1e-7", "a step of 1e-07 gives a lattice of")
-
 
 class TestSavedFiles:
     """Every command reads its JSON files by ``linear.read_json`` and writes every output by ``linear.opened``."""
-
-    @pytest.mark.parametrize("reader", ["model", "linear_params", "config", "manifest"])
-    def test_a_file_that_is_not_json_is_named(self, runner, tmp_path, reader):
-        # each once ended in "Error: Expecting value: line 1 column 1 (char 0)", naming no file
-        data = gen(runner, tmp_path)
-        broken = tmp_path / ("linear.csv.json" if reader == "manifest" else "broken.json")
-        broken.write_text("not json\n")
-        out = tmp_path / "out"
-        args = {
-            "model": ["boundary", "--model", str(broken), "--data", str(data), "--out", str(out)],
-            "linear_params": ["fit-mas", "--data", str(data), "--kind", "pa1", "--linear-params", str(broken),
-                              "--out", str(out)],
-            "config": ["reproduce", "--config", str(broken), "--out", str(out)],
-            "manifest": ["fit-linear", "--data", str(data), "--kind", "pa1", "--out", str(out)],
-        }[reader]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {broken}: Expecting value: line 1 column 1 (char 0)" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("content,message", [
-        (b"x1,x2,y\n0.5,\xff,1\n", ": 'utf-8' codec can't decode byte 0xff"),
-        (b"x1,x2,y\n0.5,nan,1\n", ": line 2: coordinates must be finite"),
-    ], ids=["not_utf8", "nan"])
-    def test_a_dataset_it_cannot_read_is_named(self, runner, tmp_path, content, message):
-        # these once ended in errors naming neither the file nor the line
-        data = tmp_path / "bad.csv"
-        data.write_bytes(content)
-        out = tmp_path / "out.json"
-        result = runner.invoke(main, ["fit-linear", "--data", str(data), "--kind", "pa1", "--out", str(out)])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {data}{message}" in result.output
-        assert not out.exists()
 
     def test_every_output_option_creates_missing_directories(self, runner, tmp_path, monkeypatch):
         # gen-data --out, fit-mas --trace and boundary --out each once ended in a FileNotFoundError
@@ -375,29 +139,6 @@ class TestSavedFiles:
 
 
 class TestReproduce:
-    def test_invalid_config_fails_before_compute(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bogus_key": 1}))
-        result = runner.invoke(main, [
-            "reproduce", "--config", str(config), "--out", str(tmp_path / "out"),
-        ])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "Error: config holds the unknown key 'bogus_key'" in result.output
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("config,option,message", [
-        ({"folds": 1}, [], "folds must be at least 2"),
-        ({}, ["--jobs", "0"], "exploration_passes and jobs must be at least 1"),
-        ([1], ["--jobs", "2"], "config must be a JSON object"),
-    ])
-    def test_bad_values_rejected_without_traceback(self, runner, tmp_path, config, option, message):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        result = runner.invoke(main, ["reproduce", "--config", str(path), *option, "--out", str(tmp_path / "out")])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert f"Error: {message}" in result.output
-        assert not (tmp_path / "out").exists()
-
     def test_mini_reproduce(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(
             bench, "default_linear_grid", lambda kind: [bench_default_cell(kind)]
@@ -424,3 +165,181 @@ def bench_default_cell(kind):
     if kind in (ModelKind.LOGIT, ModelKind.LINEAR_SVM):
         return {"alpha_reg": 0.001, "penalty": "l2"}
     return {"aggressiveness_c": 1.0}
+
+
+# -- refused command lines ---------------------------------------------------
+
+#: The refused command lines, one row each: its arguments, run in the directory that ``refusable`` fills, and the
+#: message it ends with. A row's ``--out`` is its own path, which the command must not write.
+REFUSED = [
+    ("gen-data --dataset moons --noise -1 --out negative_noise.csv",
+     "noise must be non-negative and finite"),
+    ("gen-data --dataset linear --noise 0.1 --out linear_noise.csv",
+     "--noise does not apply to the linear dataset"),
+    ("gen-data --dataset moons --factor 0.3 --out moons_factor.csv",
+     "--factor applies to circles only, not to the moons dataset"),
+    ("gen-data --dataset linear --factor 0.5 --out linear_factor.csv",
+     "--factor applies to circles only, not to the linear dataset"),
+    ("gen-data --dataset moons --n 1 --out one_point.csv",
+     "need at least 2 points (one per class)"),
+    ("fit-linear --data listed.csv --kind pa1 --out list_manifest.json",
+     "listed.csv.json must be a JSON object, got list"),
+    ("fit-linear --data text.csv --kind pa1 --out text_manifest.json",
+     "text.csv.json: Expecting value: line 1 column 1 (char 0)"),
+    ("fit-linear --data latin1.csv --kind pa1 --out latin1.json",
+     "latin1.csv: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    ("fit-linear --data nan.csv --kind pa1 --out nan.json",
+     "nan.csv: line 2: coordinates must be finite, got '0.5' and 'nan'"),
+    ("fit-linear --data header.csv --kind pa1 --out header.json",
+     "header.csv: holds no points"),
+    ("fit-linear --data oneclass.csv --kind pa1 --out oneclass.json",
+     "oneclass.csv: both classes must be present"),
+    ("fit-linear --data label.csv --kind pa1 --out label.json",
+     "label.csv: line 2: label must be 0 or 1, got '2'"),
+    ("fit-linear --data circles.csv --kind pa1 --epochs -3 --out negative_epochs.json",
+     "epochs must be a non-negative integer, got -3"),
+    ("fit-linear --data circles.csv --kind pa1 --epochs 0 --out zero_epochs.json",
+     "epochs must be at least 1, got 0"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params logit.json --out other_kind.json",
+     "--linear-params holds a logit ALONE record, not the pa1 ALONE record of fit-linear"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params text.json --out text_params.json",
+     "text.json: Expecting value: line 1 column 1 (char 0)"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params listed_params.json --out params_list.json",
+     "record.best_params must be a JSON object, got list"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params string_params.json --out params_string.json",
+     "record.best_params: aggressiveness_c must be a number, got '1.0'"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params unknown_params.json --out params_key.json",
+     "record.best_params holds the unknown key 'momentum'; its keys are ['aggressiveness_c', 'alpha_reg', "
+     "'l1_ratio', 'learning_rate0', 'penalty']"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params pa1.json --jobs 0 --out zero_jobs.json",
+     "jobs must be at least 1, got 0"),
+    ("boundary --model model.json --data circles.csv --step nan --out nan_step.csv",
+     "step must be positive and finite"),
+    ("boundary --model model.json --data circles.csv --step inf --out inf_step.csv",
+     "step must be positive and finite"),
+    ("boundary --model model.json --data circles.csv --step 1e-7 --out lattice_cap.csv",
+     "a step of 1e-07 gives a lattice of 2.84e+15 points, more than 10,000,000"),
+    ("boundary --model text.json --data circles.csv --out text_model.csv",
+     "text.json: Expecting value: line 1 column 1 (char 0)"),
+    ("boundary --model svm.json --data circles.csv --out unknown_type.csv",
+     "svm.json: type must be one of ['engine', 'linear'], got 'svm'"),
+    ("boundary --model untyped.json --data circles.csv --out no_type.csv",
+     "untyped.json lacks the key 'type'"),
+    ("boundary --model bare.json --data circles.csv --out no_payload.csv",
+     "bare.json lacks the key 'snapshot'"),
+    ("boundary --model other_payload.json --data circles.csv --out other_payload.csv",
+     "other_payload.json lacks the key 'snapshot'"),
+    ("boundary --model weights.json --data circles.csv --out unknown_key.csv",
+     "weights.json holds the unknown key 'weights'; its keys are ['model', 'snapshot', 'type']"),
+    ("boundary --model momentum.json --data circles.csv --out momentum.csv",
+     "model holds the unknown key 'momentum'; its keys are ['aggressiveness_c', 'alpha_reg', 'bias', 'kind', "
+     "'l1_ratio', 'learning_rate0', 'penalty', 'step_count', 'weights']"),
+    ("boundary --model listed_model.json --data circles.csv --out listed_model.csv",
+     "model must be a JSON object, got list"),
+    ("boundary --model null.json --data circles.csv --out null_alpha.csv",
+     "model: alpha_reg must be a number, got None"),
+    ("boundary --model empty.json --data circles.csv --out empty_snapshot.csv",
+     "snapshot lacks the key 'config'"),
+    ("boundary --model listed.json --data circles.csv --out listed_snapshot.csv",
+     "snapshot must be a JSON object, got list"),
+    ("boundary --model numbered.json --data circles.csv --out numbered_agent.csv",
+     "snapshot.agents[0] must be a JSON object, got int"),
+    ("boundary --model unbounded.json --data circles.csv --out null_region.csv",
+     "snapshot.agents[0].region must be a JSON object, got NoneType"),
+    ("boundary --model wide.json --data circles.csv --out wide_agent.csv",
+     "snapshot.agents[0].region.lower must hold 2 numbers, got 3"),
+    ("boundary --model negative.json --data circles.csv --out negative_cycle.csv",
+     "snapshot.cycle must be a non-negative integer, got -1"),
+    ("reproduce --config text.json --out text_config.d",
+     "text.json: Expecting value: line 1 column 1 (char 0)"),
+    ("reproduce --config listed_config.json --out listed_config.d",
+     "config must be a JSON object, got list"),
+    ("reproduce --config bogus.json --out bogus_config.d",
+     "config holds the unknown key 'bogus_key'; its keys are ['circles_factor', 'cv_seed', 'data_seed', 'epochs', "
+     "'exploration_passes', 'fit_seed', 'folds', 'jobs', 'n', 'noise_circles', 'noise_moons']"),
+    ("reproduce --config folds.json --out one_fold.d",
+     "folds must be at least 2"),
+    ("reproduce --config epochs.json --out zero_epochs_config.d",
+     "epochs must be at least 1"),
+    ("reproduce --jobs 0 --out zero_jobs_config.d",
+     "exploration_passes and jobs must be at least 1"),
+]
+
+
+@pytest.fixture(scope="module")
+def refusable(tmp_path_factory):
+    """A directory holding a dataset, two step-1 records and a model, built once by the commands, and every
+    malformed input that ``REFUSED`` reads."""
+    root = tmp_path_factory.mktemp("refusable")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for args in ("gen-data --dataset circles --n 40 --seed 8 --standardize --out circles.csv",
+                     "fit-linear --data circles.csv --kind logit --epochs 2 --out logit.json",
+                     "fit-linear --data circles.csv --kind pa1 --epochs 2 --out pa1.json --model-out model.json"):
+            result = CliRunner().invoke(main, args.split())
+            assert result.exit_code == 0, result.output
+    circles = (root / "circles.csv").read_text()
+    texts = {
+        "nan.csv": "x1,x2,y\n0.5,nan,1\n",
+        "header.csv": "x1,x2,y\n",
+        "oneclass.csv": "x1,x2,y\n0.5,0.25,1\n1.5,0.25,1\n",
+        "label.csv": "x1,x2,y\n0.5,0.25,2\n1.5,0.25,0\n",
+        "listed.csv": circles, "listed.csv.json": "[]",
+        "text.csv": circles, "text.csv.json": "not json\n",
+        "text.json": "not json\n",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "latin1.csv").write_bytes(b"x1,x2,y\n0.5,\xff,1\n")
+    snapshot = {"config": EngineConfig().to_dict(), "model_config": LinearModelConfig(kind="pa1").to_dict(),
+                "dim": 2, "cycle": 0, "next_agent_id": 1, "agents": []}
+    agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
+             "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
+    model = json.loads((root / "model.json").read_text())["model"]
+    record = json.loads((root / "pa1.json").read_text())
+    params = record["best_params"]
+    saved = {
+        "svm.json": {"type": "svm", "model": {}},
+        "untyped.json": {"model": {}},
+        "bare.json": {"type": "engine"},
+        "other_payload.json": {"type": "engine", "model": {}},
+        "weights.json": {"type": "linear", "model": {}, "weights": []},
+        "momentum.json": {"type": "linear", "model": {**model, "momentum": 0.9}},
+        "listed_model.json": {"type": "linear", "model": []},
+        "null.json": {"type": "linear", "model": {**model, "alpha_reg": None}},
+        "empty.json": {"type": "engine", "snapshot": {}},
+        "listed.json": {"type": "engine", "snapshot": []},
+        "numbered.json": {"type": "engine", "snapshot": {**snapshot, "agents": [1]}},
+        "unbounded.json": {"type": "engine", "snapshot": {**snapshot, "agents": [{**agent, "region": None}]}},
+        "wide.json": {"type": "engine", "snapshot": {
+            **snapshot, "agents": [{**agent, "region": {"lower": [0.0] * 3, "upper": [1.0] * 3}}]}},
+        "negative.json": {"type": "engine", "snapshot": {**snapshot, "cycle": -1}},
+        "listed_params.json": {**record, "best_params": [1]},
+        "string_params.json": {**record, "best_params": {**params, "aggressiveness_c": "1.0"}},
+        "unknown_params.json": {**record, "best_params": {**params, "momentum": 0.9}},
+        "listed_config.json": [1],
+        "bogus.json": {"bogus_key": 1},
+        "folds.json": {"folds": 1},
+        "epochs.json": {"epochs": 0},
+    }
+    for name, value in saved.items():
+        (root / name).write_text(json.dumps(value))
+    return root
+
+
+def out_of(args: str) -> str:
+    """The path a command line gives ``--out``."""
+    argv = args.split()
+    return argv[argv.index("--out") + 1]
+
+
+@pytest.mark.parametrize("args,message", REFUSED, ids=[Path(out_of(args)).stem for args, _ in REFUSED])
+def test_a_refused_command_line_ends_in_its_error(refusable, monkeypatch, args, message):
+    """Exit status 1 by ``SystemExit`` (so no traceback), a line starting ``Error: <message>``, no usage text,
+    and nothing at the row's ``--out``."""
+    monkeypatch.chdir(refusable)
+    result = CliRunner().invoke(main, args.split())
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert any(line.startswith(f"Error: {message}") for line in result.output.splitlines()), result.output
+    assert "Usage:" not in result.output
+    assert not (refusable / out_of(args)).exists()
