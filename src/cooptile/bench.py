@@ -84,6 +84,7 @@ def kfold_split(labels, k: int, seed: int = 0) -> list[np.ndarray]:
     Each class's indices are shuffled and dealt round-robin, rotating the
     starting fold between classes so total fold sizes stay balanced.
     """
+    checked_value(seed, int, "seed")
     labels = np.asarray(labels)
     n = labels.shape[0]
     if k < 2:

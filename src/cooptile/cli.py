@@ -13,6 +13,9 @@ from .linear import Keys, ModelKind, OnlineLinearModel, checked_value, opened, r
 
 _KIND_CHOICE = click.Choice([k.value for k in bench.KINDS])
 
+#: ``gen-data --dataset``: each name's generator, which holds the defaults of the options not given.
+_GENERATORS = {"moons": datasets.gen_moons, "circles": datasets.gen_circles, "linear": datasets.gen_linear}
+
 #: A model file is ``{"type": <type>, <key>: <payload>}``: each type's payload key and the reader of its payload.
 _MODEL_FILES = {"linear": ("model", OnlineLinearModel.from_dict), "engine": ("snapshot", Engine.from_snapshot)}
 
@@ -32,7 +35,7 @@ def main():
 
 
 @main.command("gen-data")
-@click.option("--dataset", type=click.Choice(["moons", "circles", "linear"]), required=True)
+@click.option("--dataset", type=click.Choice(list(_GENERATORS)), required=True)
 @click.option("--n", default=100, show_default=True)
 @click.option("--noise", default=None, type=float, help="Jitter sigma (moons: 0.3, circles: 0.2; not linear).")
 @click.option("--factor", default=None, type=float, help="Inner/outer radius ratio (circles only: 0.5).")
@@ -45,12 +48,8 @@ def gen_data(dataset, n, noise, factor, seed, do_standardize, out):
         raise ValueError("--noise does not apply to the linear dataset")
     if factor is not None and dataset != "circles":
         raise ValueError(f"--factor applies to circles only, not to the {dataset} dataset")
-    if dataset == "moons":
-        ds = datasets.gen_moons(n, 0.3 if noise is None else noise, seed)
-    elif dataset == "circles":
-        ds = datasets.gen_circles(n, 0.2 if noise is None else noise, 0.5 if factor is None else factor, seed)
-    else:
-        ds = datasets.gen_linear(n, seed)
+    given = {key: value for key, value in (("noise", noise), ("factor", factor)) if value is not None}
+    ds = _GENERATORS[dataset](n, seed=seed, **given)
     if do_standardize:
         ds = datasets.standardize(ds)
     datasets.save_csv(ds, out)

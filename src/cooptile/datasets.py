@@ -66,6 +66,7 @@ def gen_moons(n: int = 100, noise: float = 0.3, seed: int = 0) -> Dataset:
     class 1 on the shifted lower arc ``(1 - cos t, 0.5 - sin t)``,
     with ``t`` an even grid on [0, pi].
     """
+    checked_value(seed, int, "seed")
     n0, n1 = _split(n)
     t0 = np.linspace(0.0, np.pi, n0)
     t1 = np.linspace(0.0, np.pi, n1)
@@ -83,6 +84,7 @@ def gen_moons(n: int = 100, noise: float = 0.3, seed: int = 0) -> Dataset:
 
 def gen_circles(n: int = 100, noise: float = 0.2, factor: float = 0.5, seed: int = 0) -> Dataset:
     """A small circle (class 1) inside a unit ring (class 0), with jitter."""
+    checked_value(seed, int, "seed")
     if not 0.0 < factor < 1.0:
         raise ValueError("factor must lie strictly between 0 and 1")
     n0, n1 = _split(n)
@@ -105,6 +107,7 @@ def gen_linear(n: int = 100, seed: int = 0) -> Dataset:
 
     Only the first variable carries class information.
     """
+    checked_value(seed, int, "seed")
     n0, n1 = _split(n)
     rng = np.random.default_rng(seed)
     X = np.concatenate(

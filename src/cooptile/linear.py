@@ -330,6 +330,7 @@ class OnlineLinearModel:
     def fit(self, X, Y, epochs: int = 100, seed: int = 0) -> "OnlineLinearModel":
         """Run ``epochs`` shuffled passes of single-sample updates, checking the samples once."""
         checked_value(epochs, int, "epochs")
+        checked_value(seed, int, "seed")
         X, labels = checked_samples(X, Y, self.dim, "model")
         cfg, rng = self.config, np.random.default_rng(seed)
         samples = [sample(cfg, x, y) for x, y in zip(X, labels)]

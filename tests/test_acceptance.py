@@ -29,6 +29,7 @@ from cooptile.geometry import contains, exclude, overlap_volume, overlap_widths,
 from cooptile.linear import LinearModelConfig, ModelKind
 
 from boundary_checks import encloses_origin, frontier_midpoints, max_line_residual
+from engines import agent_dict, engine_with
 
 KIND_VALUES = [k.value for k in KINDS]
 
@@ -179,12 +180,7 @@ def test_criterion_6_property_suites():
             assert step_w[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     # confidence equals the weighted running sum exactly
-    cfg = EngineConfig(reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
-    pa1 = LinearModelConfig(kind=ModelKind.PA_I)
-    agent = {"id": 0, "region": {"lower": [-5.0, -5.0], "upper": [5.0, 5.0]}, "confidence": 0.0,
-             "creation_cycle": 0, "model": {**pa1.to_dict(), "weights": [0.0, 0.0], "bias": 0.0}}
-    engine = Engine.from_snapshot({"config": cfg.to_dict(), "model_config": pa1.to_dict(), "dim": 2,
-                                   "cycle": 0, "next_agent_id": 1, "agents": [agent]})
+    engine = engine_with(agent_dict(0, [-5, -5], [5, 5]), reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
     verdicts = rng.integers(0, 2, size=500).astype(bool)
     for correct in verdicts:
         proposal = engine.predict(np.zeros(2))  # the one agent's proposal

@@ -8,28 +8,16 @@ import numpy as np
 import pytest
 
 from cooptile.agents import EngineConfig
+from cooptile.bench import default_engine_grid
 from cooptile.engine import Engine
-from cooptile.geometry import Bounds, contains, volume
-from cooptile.linear import LinearModelConfig, ModelKind, _sigmoid
+from cooptile.geometry import contains, volume
+from cooptile.linear import _sigmoid
+
+from engines import agent_dict, engine_with, row_box
 
 TOL = 1e-9
-PA1 = LinearModelConfig(kind=ModelKind.PA_I)
-
-
-def engine_with_agents(*confidences: float, lo=(0.0, 0.0), up=(1.0, 1.0), **cfg_kwargs) -> Engine:
-    """An engine restored from a snapshot of zero-model agents sharing one box."""
-    agents = [
-        {"id": i, "region": {"lower": list(lo), "upper": list(up)}, "confidence": c,
-         "model": {"weights": [0.0] * len(lo), "bias": 0.0, "step_count": 0}}
-        for i, c in enumerate(confidences)
-    ]
-    snap = {"config": EngineConfig(**cfg_kwargs).to_dict(), "model_config": PA1.to_dict(), "dim": len(lo),
-            "cycle": 0, "next_agent_id": len(agents), "agents": agents}
-    return Engine.from_snapshot(snap)
-
-
-def box(engine: Engine, row: int) -> Bounds:
-    return engine.agents.lower[row], engine.agents.upper[row]
+#: The one agent of most tests here: a zero model in the unit square.
+UNIT = agent_dict(0, [0, 0], [1, 1])
 
 
 def give_feedback(engine: Engine, correct: bool, x) -> None:
@@ -40,10 +28,10 @@ def give_feedback(engine: Engine, correct: bool, x) -> None:
 
 class TestScore:
     def test_fresh_agent_scores_half(self):
-        assert _sigmoid(engine_with_agents(0.0).agents.confidence[0]) == 0.5
+        assert _sigmoid(engine_with(UNIT).agents.confidence[0]) == 0.5
 
     def test_three_correct_two_wrong(self):
-        engine = engine_with_agents(0.0, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
+        engine = engine_with(UNIT, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0)
         x = np.array([0.5, 0.5])
         for correct in (True, True, True, False, False):
             give_feedback(engine, correct, x)
@@ -54,48 +42,49 @@ class TestScore:
 
     def test_strictly_increasing_and_bounded(self):
         # |confidence| <= 36 keeps the sigmoid away from float saturation
-        scores = np.array([_sigmoid(c) for c in engine_with_agents(-36.0, -5.0, 0.0, 3.0, 36.0).agents.confidence])
+        agents = [agent_dict(k, [0, 0], [1, 1], confidence=c) for k, c in enumerate([-36.0, -5.0, 0.0, 3.0, 36.0])]
+        scores = np.array([_sigmoid(c) for c in engine_with(*agents).agents.confidence])
         assert np.all((0.0 < scores) & (scores < 1.0))
         assert np.all(np.diff(scores) > 0.0)
 
 
 class TestFeedback:
     def test_correct_with_zero_resize(self):
-        engine = engine_with_agents(0.0, resize_factor=0.0, reward_weight=1.0)
-        before = volume(*box(engine, 0))
+        engine = engine_with(UNIT, resize_factor=0.0, reward_weight=1.0)
+        before = volume(*row_box(engine, 0))
         give_feedback(engine, True, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == 1.0
-        assert volume(*box(engine, 0)) == before
+        assert volume(*row_box(engine, 0)) == before
 
     def test_correct_grows_region_and_trains(self):
-        engine = engine_with_agents(0.0, resize_factor=0.1)
+        engine = engine_with(UNIT, resize_factor=0.1)
         give_feedback(engine, True, np.array([0.5, 0.5]))
-        assert volume(*box(engine, 0)) == pytest.approx(1.1, rel=TOL)
+        assert volume(*row_box(engine, 0)) == pytest.approx(1.1, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_correct_without_model_update_when_disabled(self):
-        engine = engine_with_agents(0.0, resize_factor=0.1, train_on_correct=False)
+        engine = engine_with(UNIT, resize_factor=0.1, train_on_correct=False)
         give_feedback(engine, True, np.array([0.5, 0.5]))
         assert engine.agents.step_count[0] == 0
 
     def test_wrong_with_exclusion_deactivates_point(self):
-        engine = engine_with_agents(0.0, exclude_points=True, penalty_weight=0.5)
+        engine = engine_with(UNIT, exclude_points=True, penalty_weight=0.5, resize_factor=0.1)
         x = np.array([0.9, 0.5])
         give_feedback(engine, False, x)
         assert engine.agents.confidence[0] == -0.5
-        assert not contains(*box(engine, 0), x)
+        assert not contains(*row_box(engine, 0), x)
         assert engine.agents.step_count[0] == 0  # model untouched on exclusion
 
     def test_wrong_without_exclusion_shrinks_and_trains(self):
-        engine = engine_with_agents(0.0, exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
+        engine = engine_with(UNIT, exclude_points=False, resize_factor=0.1, penalty_weight=0.5)
         give_feedback(engine, False, np.array([0.5, 0.5]))
         assert engine.agents.confidence[0] == -0.5
-        assert volume(*box(engine, 0)) == pytest.approx(0.9, rel=TOL)
+        assert volume(*row_box(engine, 0)) == pytest.approx(0.9, rel=TOL)
         assert engine.agents.step_count[0] == 1
 
     def test_confidence_is_running_weighted_sum(self):
         # dyadic weights make the running sum exact
-        engine = engine_with_agents(0.0, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0,
+        engine = engine_with(UNIT, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0,
                                     exclude_points=False)
         rng = np.random.default_rng(7)
         verdicts = rng.integers(0, 2, size=200).astype(bool)
@@ -187,15 +176,5 @@ class TestEngineConfig:
 
     def test_grid_values_are_valid(self):
         # every cell of the benchmark engine grid must construct
-        for radius in (0.1, 0.2, 0.5):
-            for overlap in (0.2, 0.5):
-                for exclude in (False, True):
-                    for resize in (0.0, 0.1, 0.2):
-                        for penalty in (0.5, 1.0, 2.0):
-                            EngineConfig(
-                                init_radius=radius,
-                                overlap_threshold=overlap,
-                                exclude_points=exclude,
-                                resize_factor=resize,
-                                penalty_weight=penalty,
-                            )
+        for cell in default_engine_grid():
+            EngineConfig(**cell)

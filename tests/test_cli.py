@@ -7,10 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 import cooptile.bench as bench
-from cooptile.agents import EngineConfig
 from cooptile.cli import main
 from cooptile.datasets import load_csv
-from cooptile.linear import LinearModelConfig
+
+from engines import agent_dict, engine_with
 
 
 @pytest.fixture
@@ -182,6 +182,10 @@ REFUSED = [
      "--factor applies to circles only, not to the linear dataset"),
     ("gen-data --dataset moons --n 1 --out one_point.csv",
      "need at least 2 points (one per class)"),
+    ("gen-data --dataset linear --seed -1 --out negative_seed_linear.csv",
+     "seed must be a non-negative integer, got -1"),
+    ("gen-data --dataset moons --noise 0 --seed -1 --out negative_seed_moons.csv",
+     "seed must be a non-negative integer, got -1"),
     ("fit-linear --data listed.csv --kind pa1 --out list_manifest.json",
      "listed.csv.json must be a JSON object, got list"),
     ("fit-linear --data text.csv --kind pa1 --out text_manifest.json",
@@ -200,6 +204,8 @@ REFUSED = [
      "epochs must be a non-negative integer, got -3"),
     ("fit-linear --data circles.csv --kind pa1 --epochs 0 --out zero_epochs.json",
      "epochs must be at least 1, got 0"),
+    ("fit-linear --data circles.csv --kind pa1 --seed -1 --out negative_seed_alone.json",
+     "seed must be a non-negative integer, got -1"),
     ("fit-mas --data circles.csv --kind pa1 --linear-params logit.json --out other_kind.json",
      "--linear-params holds a logit ALONE record, not the pa1 ALONE record of fit-linear"),
     ("fit-mas --data circles.csv --kind pa1 --linear-params text.json --out text_params.json",
@@ -213,6 +219,8 @@ REFUSED = [
      "'l1_ratio', 'learning_rate0', 'penalty']"),
     ("fit-mas --data circles.csv --kind pa1 --linear-params pa1.json --jobs 0 --out zero_jobs.json",
      "jobs must be at least 1, got 0"),
+    ("fit-mas --data circles.csv --kind pa1 --linear-params pa1.json --seed -1 --out negative_seed_mas.json",
+     "seed must be a non-negative integer, got -1"),
     ("boundary --model model.json --data circles.csv --step nan --out nan_step.csv",
      "step must be positive and finite"),
     ("boundary --model model.json --data circles.csv --step inf --out inf_step.csv",
@@ -291,10 +299,7 @@ def refusable(tmp_path_factory):
     for name, text in texts.items():
         (root / name).write_text(text)
     (root / "latin1.csv").write_bytes(b"x1,x2,y\n0.5,\xff,1\n")
-    snapshot = {"config": EngineConfig().to_dict(), "model_config": LinearModelConfig(kind="pa1").to_dict(),
-                "dim": 2, "cycle": 0, "next_agent_id": 1, "agents": []}
-    agent = {"id": 0, "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "confidence": 0.0,
-             "model": {"weights": [0.0, 0.0], "bias": 0.0, "step_count": 0}}
+    snapshot, agent = engine_with(dim=2).snapshot(), agent_dict(0, [0, 0], [1, 1])
     model = json.loads((root / "model.json").read_text())["model"]
     record = json.loads((root / "pa1.json").read_text())
     params = record["best_params"]

@@ -47,11 +47,12 @@ class TestMoons:
         with pytest.raises(ValueError):
             gen_moons(1)
 
-    @pytest.mark.parametrize("noise", [-1.0, math.nan, math.inf])
-    def test_rejects_invalid_noise(self, noise):
-        # a negative or NaN noise used to give the noise-free points
-        with pytest.raises(ValueError, match="noise"):
-            gen_moons(100, noise=noise)
+    @pytest.mark.parametrize("noise,seed", [(-1.0, 0), (math.nan, 0), (math.inf, 0), (0.0, -1)])
+    def test_rejects_invalid_noise_or_seed(self, noise, seed):
+        # a negative or NaN noise used to give the noise-free points; at noise 0 a seed of -1 reached the manifest
+        message = "seed must be a non-negative integer, got -1" if seed else "noise must be non-negative and finite"
+        with pytest.raises(ValueError, match=message):
+            gen_moons(100, noise=noise, seed=seed)
 
 
 class TestCircles:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import re
 import tracemalloc
 from collections import deque
@@ -23,47 +24,12 @@ from cooptile.engine import DECIDE_BLOCK_ROWS, Engine, NcsKind, Resolution
 from cooptile.geometry import Bounds, Hypercube, contains, overlap_volume, overlap_widths, volume
 from cooptile.linear import LinearModelConfig, ModelKind
 
-PA1 = LinearModelConfig(kind=ModelKind.PA_I)
-
-
-def make_engine(**cfg_kwargs) -> Engine:
-    cfg_kwargs.setdefault("resize_factor", 0.0)
-    return Engine(EngineConfig(**cfg_kwargs), PA1, dim=2)
-
-
-def agent_dict(agent_id: int, lo, up, weights=(0.0, 0.0), bias=0.0, confidence: float = 0.0) -> dict:
-    """One agent as ``Engine.snapshot()`` lists it."""
-    return {
-        "id": agent_id,
-        "region": {"lower": [float(v) for v in lo], "upper": [float(v) for v in up]},
-        "confidence": float(confidence),
-        "model": {"weights": [float(w) for w in weights], "bias": float(bias), "step_count": 0},
-    }
+from engines import PA1, agent_dict, constant_agent, engine_with, row_box
 
 
 def snapshot_path(keys) -> str:
     """The path a snapshot reader names for the value under ``keys``, such as ``snapshot.agents[1].id``."""
     return "snapshot" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
-
-
-def constant_agent(agent_id: int, lo, up, proposes: int, confidence: float = 0.0) -> dict:
-    """Agent whose model always proposes the same class."""
-    return agent_dict(agent_id, lo, up, bias=1.0 if proposes == 1 else -1.0, confidence=confidence)
-
-
-def engine_with(*agents: dict, next_agent_id: int | None = None, **cfg_kwargs) -> Engine:
-    """An engine restored from a snapshot holding exactly ``agents``."""
-    cfg_kwargs.setdefault("resize_factor", 0.0)
-    if next_agent_id is None:
-        next_agent_id = max(a["id"] for a in agents) + 1
-    return Engine.from_snapshot({
-        "config": EngineConfig(**cfg_kwargs).to_dict(),
-        "model_config": PA1.to_dict(),
-        "dim": 2,
-        "cycle": 0,
-        "next_agent_id": next_agent_id,
-        "agents": list(agents),
-    })
 
 
 def agents_by_id(engine: Engine) -> dict[int, dict]:
@@ -72,10 +38,6 @@ def agents_by_id(engine: Engine) -> dict[int, dict]:
 
 def region(agent: dict) -> Bounds:
     return np.array(agent["region"]["lower"]), np.array(agent["region"]["upper"])
-
-
-def row_box(engine: Engine, row: int) -> Bounds:
-    return engine.agents.lower[row], engine.agents.upper[row]
 
 
 def intersection_volume(a: Bounds, b: Bounds) -> float:
@@ -140,7 +102,7 @@ class TestSelectWinner:
         assert (report.winner_id, report.prediction) == (1, 0)
 
     def test_empty_set_rejected(self):
-        engine = engine_with(next_agent_id=1)  # its one agent is gone
+        engine = engine_with(next_agent_id=1, dim=2)  # its one agent is gone
         assert len(engine.agents) == 0 and not engine.agents
         with pytest.raises(RuntimeError):
             engine.exploit_step(np.array([0.5, 0.5]))
@@ -148,26 +110,6 @@ class TestSelectWinner:
             engine.predict_batch(np.array([[0.5, 0.5]]))
         with pytest.raises(RuntimeError):
             engine.predict_batch(np.empty((0, 2)))
-
-
-@st.composite
-def covering_populations(draw):
-    """A point and an engine of dimension 1..6 whose agents mostly contain it, with scores tied
-    exactly or within ``SCORE_TIE_TOL``, and margins that are often exactly zero."""
-    dim = draw(st.integers(1, 6))
-    x = [draw(st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-2, 2)) for _ in range(dim)]
-    agents = []
-    for k in range(draw(st.integers(1, 8))):
-        reach = st.floats(0.01, 2.0)
-        shift = 0.0 if draw(st.integers(0, 3)) else 3.0  # a quarter of the agents miss the point
-        lo = [v + shift - draw(reach) for v in x]
-        weights = [draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1, 1)) for _ in range(dim)]
-        bias = draw(st.sampled_from([-0.5, 0.0, 0.5]) | st.floats(-1, 1))
-        confidence = draw(st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5]))
-        agents.append(agent_dict(k, lo, [v + shift + draw(reach) for v in x], weights, bias, confidence))
-    snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": dim, "agents": agents,
-            "next_agent_id": len(agents)}
-    return Engine.from_snapshot(snap), np.array(x), draw(st.integers(0, 1))
 
 
 @st.composite
@@ -199,43 +141,29 @@ def exploited_populations(draw):
         bias = draw(st.sampled_from([-0.5, 0.0, 0.5]) | st.floats(-1, 1))
         confidence = draw(st.sampled_from([0.0, 1e-13, -1e-13, 0.5, -0.5]))
         agents.append(agent_dict(k, lo, up, weights, bias, confidence))
-    snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": dim, "agents": agents,
-            "next_agent_id": len(agents)}
-    return Engine.from_snapshot(snap), np.array(x)
+    return engine_with(*agents), np.array(x)
+
+
+@st.composite
+def boxes_and_a_point(draw):
+    """One to three boxes of dimension 1..4, and a point of [-10, 10]^d that they may miss."""
+    dim, regions = draw(st.integers(1, 4)), []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.floats(-3, 3)) for _ in range(dim)]
+        regions.append((lo, [v + draw(st.floats(0.05, 4)) for v in lo]))
+    return regions, [draw(st.floats(-10, 10)) for _ in range(dim)]
 
 
 def boxes_off_the_origin(*gaps) -> tuple[Engine, np.ndarray]:
     """The origin in dimension 3 and an engine of one box per entry of ``gaps``, each box missing the
     origin by that gap along each axis and proposing class 1 for agent 0, class 0 for the others."""
-    agents = [agent_dict(k, gap, [2.0, 2.0, 2.0], weights=(0.0, 0.0, 0.0), bias=-1.0 if k else 1.0)
-              for k, gap in enumerate(gaps)]
-    snap = {**engine_with(agent_dict(0, [0, 0], [1, 1])).snapshot(), "dim": 3, "agents": agents,
-            "next_agent_id": len(agents)}
-    return Engine.from_snapshot(snap), np.zeros(3)
-
-
-class TestExplorationDecision:
-    @given(covering_populations())
-    @settings(max_examples=300, deadline=None)
-    def test_exploration_decision_equals_decide(self, case):
-        # exploration decides on the activated rows alone: the same class, winner and proposals
-        engine, x, y = case
-        X = x[None, :]
-        inside = engine._activation(X)
-        active = inside[0].nonzero()[0]
-        if not active.size:
-            return
-        labels, winners, votes = engine._decide(X, inside)
-        decided = engine._decide_activated(x, active)
-        assert decided == (int(labels[0]), int(winners[0]), votes[0, active].astype(int).tolist())
-        winner_id = int(engine.agents.id[winners[0]])  # read before the cycle can drop rows
-        report = engine.explore_step(x, y)
-        assert (report.prediction, report.winner_id) == (decided[0], winner_id)
+    agents = [agent_dict(k, gap, [2.0, 2.0, 2.0], bias=-1.0 if k else 1.0) for k, gap in enumerate(gaps)]
+    return engine_with(*agents), np.zeros(3)
 
 
 class TestIncompetence:
     def test_first_observation_creates_agent(self):
-        engine = make_engine(init_radius=0.5)
+        engine = engine_with(dim=2, init_radius=0.5)
         x = np.array([0.3, 0.4])
         report = engine.explore_step(x, 1)
         assert len(engine.agents) == 1
@@ -363,7 +291,7 @@ class TestCompetitionAndConflict:
 
 class TestExploreInvariants:
     def test_rejects_label_outside_universe(self):
-        engine = make_engine()
+        engine = engine_with(dim=2)
         with pytest.raises(ValueError):
             engine.explore_step(np.array([0.0, 0.0]), 2)
 
@@ -419,8 +347,40 @@ class TestExploitation:
         assert report.winner_id == 0
         assert report.prediction == 0
 
+    @staticmethod
+    def nearest(x, *regions) -> int:
+        """The id of the zero-model agent, one per region of ``regions``, that answers the uncovered point ``x``."""
+        report = engine_with(*[agent_dict(k, *box) for k, box in enumerate(regions)]).exploit_step(np.asarray(x))
+        assert [e.resolution for e in report.ncs_events] == [Resolution.NEAREST]
+        return report.winner_id
+
+    def test_nearest_across_an_axis_gap(self):
+        # agent 0 lies 1.0 from the point along axis 0, agent 1 1.0 +- 1e-6 on the other side
+        x = [2.0, 0.5]
+        assert self.nearest(x, ([0, 0], [1, 1]), ([3 + 1e-6, 0], [4, 1])) == 0
+        assert self.nearest(x, ([0, 0], [1, 1]), ([3 - 1e-6, 0], [4, 1])) == 1
+
+    def test_nearest_across_a_corner_gap(self):
+        # agent 0's corner lies sqrt(2) from the point, agent 1's face sqrt(2) +- 1e-6
+        x, far = [2.0, 2.0], 2.0 + math.sqrt(2)
+        assert self.nearest(x, ([0, 0], [1, 1]), ([far + 1e-6, 0], [6, 4])) == 0
+        assert self.nearest(x, ([0, 0], [1, 1]), ([far - 1e-6, 0], [6, 4])) == 1
+
+    @given(boxes_and_a_point())
+    @example(([([-1.0], [-4.4e-313]), ([2.2e-313], [1.0])], [0.0]))  # squared gaps underflow
+    @settings(max_examples=150)
+    def test_nearest_matches_projection_oracle(self, case):
+        regions, x = [(np.array(lo), np.array(up)) for lo, up in case[0]], np.array(case[1])
+        # math.dist scales before squaring, so subnormal gaps stay apart
+        distances = [math.dist(x, np.clip(x, lo, up)) for lo, up in regions]
+        report = engine_with(*[agent_dict(k, lo, up) for k, (lo, up) in enumerate(regions)]).exploit_step(x)
+        assert (report.activated_ids == []) == (min(distances) > 0.0)
+        assert (min(distances) == 0.0) == any(contains(lo, up, x) for lo, up in regions)
+        if not report.activated_ids:
+            assert distances[report.winner_id] == pytest.approx(min(distances), rel=1e-9, abs=0.0)
+
     def test_untrained_engine_rejects_prediction(self):
-        engine = make_engine()
+        engine = engine_with(dim=2)
         with pytest.raises(RuntimeError):
             engine.exploit_step(np.array([0.0, 0.0]))
         with pytest.raises(RuntimeError):
@@ -430,26 +390,33 @@ class TestExploitation:
         with pytest.raises(RuntimeError):
             engine.predict_batch(np.empty((0, 2)))
 
-    @given(exploited_populations())
-    @example(boxes_off_the_origin([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]))  # equal distances: the lowest id answers
-    @example(boxes_off_the_origin([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]))  # one ulp apart: axes summed in reverse pick agent 1
+    @given(exploited_populations(), st.integers(0, 1))
+    @example(boxes_off_the_origin([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]), 0)  # equal distances: the lowest id answers
+    @example(boxes_off_the_origin([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]), 0)  # one ulp apart: axes summed in reverse pick agent 1
     @settings(max_examples=300, deadline=None)
-    def test_point_rule_equals_block_rule(self, case):
-        # a single point is decided on its own path: the answer of ``_decide`` on its one-row block
+    def test_point_rule_equals_block_rule(self, case, y):
+        # a single point is decided on its own path, in exploitation and in exploration (on the activated rows
+        # alone): the answer of ``_decide`` on its one-row block
         engine, x = case
         X = x[None, :]
         inside = engine._activation(X)
-        labels, winners, _ = engine._decide(X, inside)
+        labels, winners, votes = engine._decide(X, inside)
         ids = engine.agents.id
+        label, winner_id = int(labels[0]), int(ids[winners[0]])  # read before exploration can drop rows
         report = engine.exploit_step(x)
-        assert (report.prediction, report.winner_id) == (int(labels[0]), int(ids[winners[0]]))
+        assert (report.prediction, report.winner_id) == (label, winner_id)
         assert report.activated_ids == ids[inside[0]].tolist()
         assert len(report.ncs_events) == (not inside.any())
-        assert engine.predict(x) == int(labels[0])
-        if not inside.any():  # both paths share the nearest-box kernel: pin it to its reference order
+        assert engine.predict(x) == label
+        active = inside[0].nonzero()[0]
+        if not active.size:  # both paths share the nearest-box kernel: pin it to its reference order
             pop = engine.agents
             gap = np.maximum(np.maximum(pop.lower - x, x - pop.upper), 0.0)
-            assert report.winner_id == int(ids[np.hypot.reduce(gap, axis=-1).argmin()])
+            assert winner_id == int(ids[np.hypot.reduce(gap, axis=-1).argmin()])
+            return
+        assert engine._decide_activated(x, active) == (label, int(winners[0]), votes[0, active].astype(int).tolist())
+        report = engine.explore_step(x, y)
+        assert (report.prediction, report.winner_id) == (label, winner_id)
 
     def test_predict_builds_no_report(self, monkeypatch):
         engine = engine_with(

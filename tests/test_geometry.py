@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cooptile.agents import EngineConfig
-from cooptile.engine import Engine, Resolution
 from cooptile.geometry import (
     Hypercube,
     around,
@@ -67,13 +66,6 @@ def boxes(draw, dim=None):
 def box_pairs(draw):
     p = draw(st.integers(1, 4))
     return draw(boxes(dim=p)), draw(boxes(dim=p))
-
-
-@st.composite
-def boxes_with_free_point(draw):
-    p = draw(st.integers(1, 4))
-    regions = draw(st.lists(boxes(dim=p), min_size=1, max_size=3))
-    return regions, np.array([draw(st.floats(-10, 10, **finite)) for _ in range(p)])
 
 
 @st.composite
@@ -488,58 +480,3 @@ class TestEnclose:
         assert np.all(g[0] <= b[0]) and np.all(g[1] >= b[1])
         assert same(g, enclose(*b, *a))
         assert same(g, enclose(*g, *g))
-
-
-# ── distance: the engine's nearest-agent choice ─────────────────────
-
-
-def engine_of(*regions) -> Engine:
-    """A frozen engine of zero-model agents holding ``regions``, ids in order."""
-    agents = [
-        {"id": i, "region": {"lower": lo.tolist(), "upper": up.tolist()}, "confidence": 0.0,
-         "model": {"weights": [0.0] * lo.size, "bias": 0.0, "step_count": 0}}
-        for i, (lo, up) in enumerate(regions)
-    ]
-    return Engine.from_snapshot({"config": EngineConfig().to_dict(), "model_config": {"kind": "pa1"},
-                                 "dim": regions[0][0].size, "cycle": 0, "next_agent_id": len(agents),
-                                 "agents": agents})
-
-
-class TestDistance:
-    """The distance from a point to a box exists only in the engine's fallback for an
-    uncovered point, which the nearest agent answers (ties to the lowest id)."""
-
-    @staticmethod
-    def nearest(x, *regions) -> int:
-        report = engine_of(*regions).exploit_step(np.asarray(x, dtype=float))
-        assert [e.resolution for e in report.ncs_events] == [Resolution.NEAREST]
-        return report.winner_id
-
-    def test_inside_is_zero(self):
-        report = engine_of(box([0, 0], [1, 1]), box([2, 2], [3, 3])).exploit_step(np.array([0.3, 0.9]))
-        assert report.activated_ids == [0] and report.winner_id == 0 and report.ncs_events == []
-
-    def test_axis_gap(self):
-        # agent 0 lies 1.0 from the point along axis 0, agent 1 1.0 +- 1e-6 on the other side
-        x = [2.0, 0.5]
-        assert self.nearest(x, box([0, 0], [1, 1]), box([3 + 1e-6, 0], [4, 1])) == 0
-        assert self.nearest(x, box([0, 0], [1, 1]), box([3 - 1e-6, 0], [4, 1])) == 1
-
-    def test_corner_gap(self):
-        # agent 0's corner lies sqrt(2) from the point, agent 1's face sqrt(2) +- 1e-6
-        x, far = [2.0, 2.0], 2.0 + math.sqrt(2)
-        assert self.nearest(x, box([0, 0], [1, 1]), box([far + 1e-6, 0], [6, 4])) == 0
-        assert self.nearest(x, box([0, 0], [1, 1]), box([far - 1e-6, 0], [6, 4])) == 1
-
-    @given(boxes_with_free_point())
-    @example(([box([-1.0], [-4.4e-313]), box([2.2e-313], [1.0])], np.array([0.0])))  # squared gaps underflow
-    @settings(max_examples=150)
-    def test_matches_projection_oracle(self, case):
-        regions, x = case
-        # math.dist scales before squaring, so subnormal gaps stay apart
-        distances = [math.dist(x, np.clip(x, lo, up)) for lo, up in regions]
-        report = engine_of(*regions).exploit_step(x)
-        assert (report.activated_ids == []) == (min(distances) > 0.0)
-        assert (min(distances) == 0.0) == any(contains(lo, up, x) for lo, up in regions)
-        if not report.activated_ids:
-            assert distances[report.winner_id] == pytest.approx(min(distances), rel=TOL, abs=0.0)

@@ -215,7 +215,7 @@ def dataset(name: str) -> tuple[np.ndarray, np.ndarray]:
 def run_case(name: str, kind: str, cell: str) -> dict[str, str]:
     X, Y = dataset(name)
     dim = X.shape[1]
-    model_cfg = LinearModelConfig.from_dict({"kind": kind, **bench.default_linear_grid(kind)[0]})
+    model_cfg = LinearModelConfig(kind=kind, **bench.default_linear_grid(kind)[0])
     radius = {"init_radius": 0.5} if dim > 2 else {}
     cfg = EngineConfig(**{**CELLS[cell], **radius}, seed=17, exploration_passes=2)
     engine = Engine(cfg, model_cfg, dim=dim)

@@ -267,12 +267,13 @@ class TestFit:
         assert np.array_equal(m.weights, [0.0, 0.0])
         assert m.bias == 0.0 and m.step_count == 0
 
-    @pytest.mark.parametrize("epochs", [-3, 2.5, True])
-    def test_fit_rejects_an_epoch_count_that_is_not_a_count(self, epochs):
-        # -3 once trained nothing without a word, and True one epoch
+    @pytest.mark.parametrize("name,value", [("epochs", -3), ("epochs", 2.5), ("epochs", True), ("seed", -1)])
+    def test_fit_rejects_a_count_that_is_not_a_count(self, name, value):
+        # -3 epochs once trained nothing without a word, and True one epoch; a seed of -1 once got numpy's
+        # "expected non-negative integer", which names neither
         m = fresh(ModelKind.LOGIT)
-        with pytest.raises(ValueError, match=f"epochs must be a non-negative integer, got {epochs}"):
-            m.fit([[0.0, 1.0], [1.0, 0.0]], [0, 1], epochs=epochs)
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer, got {value}"):
+            m.fit([[0.0, 1.0], [1.0, 0.0]], [0, 1], **{name: value})
         assert m.step_count == 0
 
     def test_partial_fit_rejects_non_finite_point(self):
