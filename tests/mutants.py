@@ -158,8 +158,8 @@ def pytest_configure(config):
 '''
 
 
-def mutated_tree(work: Path, mutant: Mutant | None) -> Path:
-    """A fresh copy of ``src/`` under ``work`` holding ``mutant`` (or none), with the plugin beside it."""
+def mutated_tree(work: Path, mutant: Mutant | None) -> None:
+    """Write a fresh copy of ``src/`` under ``work`` holding ``mutant`` (or none), with the plugin beside it."""
     if work.exists():
         shutil.rmtree(work)
     src = work / "src"
@@ -173,7 +173,6 @@ def mutated_tree(work: Path, mutant: Mutant | None) -> Path:
             raise SystemExit(f"mutants: the replaced text occurs {count} times in {mutant.file}: {mutant.old!r}")
         path.write_text(text.replace(mutant.old, mutant.new))
     (work / "mutants_plugin.py").write_text(PLUGIN.format(package=str(package)))
-    return work
 
 
 def run_tests(work: Path, tests: tuple[str, ...], seed: int) -> str | None:
@@ -218,13 +217,14 @@ def main(argv=None) -> int:
             for seed in seeds:
                 failed = run_tests(work, mutant.tests, seed)
                 if failed is None:
+                    survivors.append(name)
+                    outcome = f"survived  {name:34}  {time.perf_counter() - clock:5.1f} s  passes at seed {seed}"
                     break
                 killers.append(failed)
-            verdict = "killed" if len(killers) == len(seeds) else "survived"
-            if verdict == "survived":
-                survivors.append(name)
-            by = ", ".join(dict.fromkeys(killers)) or "-"
-            print(f"{verdict:8}  {name:34}  {time.perf_counter() - clock:5.1f} s  by {by}", flush=True)
+            else:
+                by = ", ".join(dict.fromkeys(killers))
+                outcome = f"killed    {name:34}  {time.perf_counter() - clock:5.1f} s  by {by}"
+            print(outcome, flush=True)
     print(f"{len(names) - len(survivors)} of {len(names)} mutants killed at seeds {args.seeds} "
           f"in {time.perf_counter() - started:.0f} s")
     return 1 if survivors else 0

@@ -84,8 +84,7 @@ class TestFeedback:
 
     def test_confidence_is_running_weighted_sum(self):
         # dyadic weights make the running sum exact
-        engine = engine_with(UNIT, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0,
-                                    exclude_points=False)
+        engine = engine_with(UNIT, reward_weight=1.0, penalty_weight=0.5, resize_factor=0.0, exclude_points=False)
         rng = np.random.default_rng(7)
         verdicts = rng.integers(0, 2, size=200).astype(bool)
         x = np.array([0.5, 0.5])

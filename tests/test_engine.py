@@ -392,7 +392,8 @@ class TestExploitation:
 
     @given(exploited_populations(), st.integers(0, 1))
     @example(boxes_off_the_origin([0.5, 0.5, 0.0], [0.0, 0.5, 0.5]), 0)  # equal distances: the lowest id answers
-    @example(boxes_off_the_origin([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]), 0)  # one ulp apart: axes summed in reverse pick agent 1
+    # one ulp apart: the axes summed in reverse would pick agent 1
+    @example(boxes_off_the_origin([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]), 0)
     @settings(max_examples=300, deadline=None)
     def test_point_rule_equals_block_rule(self, case, y):
         # a single point is decided on its own path, in exploitation and in exploration (on the activated rows
